@@ -447,13 +447,13 @@ let run_perf () =
       let p = Vm.Program.load (e.build ()) in
       let code = Vm.Code.compile p in
       let seed_rate =
-        rate (fun () -> Vm.Exec.run ~budget:Vm.Exec.golden_budget p)
+      rate (fun () -> Vm.Exec.run ~budget:Vm.Exec.golden_budget p)
       in
       let comp_rate =
-        rate (fun () -> Vm.Code.run ~budget:Vm.Exec.golden_budget code)
+      rate (fun () -> Vm.Code.run ~budget:Vm.Exec.golden_budget code)
       in
       Printf.printf "%-10s %14.3e %14.3e %8.2fx\n" name seed_rate comp_rate
-        (comp_rate /. seed_rate))
+      (comp_rate /. seed_rate))
     pipeline_progs;
   print_newline ();
   section "Compiled pipeline: end-to-end campaign wall-clock, seed vs compiled";
@@ -473,23 +473,23 @@ let run_perf () =
     (fun name ->
       let e = Option.get (Bench_suite.Registry.find name) in
       let w =
-        Core.Workload.make ~name ~expected_output:(e.reference ())
-          (e.build ())
+      Core.Workload.make ~name ~expected_output:(e.reference ())
+        (e.build ())
       in
       let campaign backend =
-        Core.Config.set_backend backend;
-        let t0 = Unix.gettimeofday () in
-        let r = Core.Campaign.run w pipeline_spec ~n:n_pipeline ~seed:5L in
-        (Unix.gettimeofday () -. t0, r)
+      Core.Config.set_backend backend;
+      let t0 = Unix.gettimeofday () in
+      let r = Core.Campaign.run w pipeline_spec ~n:n_pipeline ~seed:5L in
+      (Unix.gettimeofday () -. t0, r)
       in
       ignore (campaign Core.Config.Compiled) (* warm-up *);
       let seed_t, seed_r = campaign Core.Config.Seed in
       let comp_t, comp_r = campaign Core.Config.Compiled in
       Printf.printf "%-10s %9.2fs %9.2fs %8.2fx   %s\n" name seed_t comp_t
-        (seed_t /. comp_t)
-        (if Core.Campaign.equal_result seed_r comp_r then
-           "bit-identical results"
-         else "!! MISMATCH"))
+      (seed_t /. comp_t)
+      (if Core.Campaign.equal_result seed_r comp_r then
+         "bit-identical results"
+       else "!! MISMATCH"))
     pipeline_progs;
   Core.Config.set_backend saved_backend;
   print_newline ();
@@ -498,58 +498,32 @@ let run_perf () =
     "off" "on" "speedup"
     (Core.Spec.label pipeline_spec)
     n_pipeline;
-  let ck_rows =
-    List.map
-      (fun name ->
-        let e = Option.get (Bench_suite.Registry.find name) in
-        let w =
-          Core.Workload.make ~name ~expected_output:(e.reference ())
-            (e.build ())
-        in
-        let campaign on =
-          Core.Config.set_checkpoint on;
-          let t0 = Unix.gettimeofday () in
-          let r = Core.Campaign.run w pipeline_spec ~n:n_pipeline ~seed:5L in
-          (Unix.gettimeofday () -. t0, r)
-        in
-        (* Warm-up also records the checkpoint set, so the timed "on" run
-           measures steady-state reuse, not the one-off recording. *)
-        ignore (campaign true);
-        let off_t, off_r = campaign false in
-        let on_t, on_r = campaign true in
-        let identical = Core.Campaign.equal_result off_r on_r in
-        Printf.printf "%-10s %9.2fs %9.2fs %8.2fx   %s\n" name off_t on_t
-          (off_t /. on_t)
-          (if identical then "bit-identical results" else "!! MISMATCH");
-        (name, off_t, on_t, identical))
-      pipeline_progs
-  in
+  List.iter
+    (fun name ->
+      let e = Option.get (Bench_suite.Registry.find name) in
+      let w =
+        Core.Workload.make ~name ~expected_output:(e.reference ())
+          (e.build ())
+      in
+      let campaign on =
+        Core.Config.set_checkpoint on;
+        let t0 = Unix.gettimeofday () in
+        let r = Core.Campaign.run w pipeline_spec ~n:n_pipeline ~seed:5L in
+        (Unix.gettimeofday () -. t0, r)
+      in
+      (* Warm-up also records the checkpoint set, so the timed "on" run
+         measures steady-state reuse, not the one-off recording. *)
+      ignore (campaign true);
+      let off_t, off_r = campaign false in
+      let on_t, on_r = campaign true in
+      let identical = Core.Campaign.equal_result off_r on_r in
+      Printf.printf "%-10s %9.2fs %9.2fs %8.2fx   %s\n" name off_t on_t
+        (off_t /. on_t)
+        (if identical then "bit-identical results" else "!! MISMATCH"))
+    pipeline_progs;
   Core.Config.set_checkpoint ~interval:ck_saved_k ck_saved_on;
   let ck_points, ck_restores = Vm.Checkpoint.stats () in
-  (let oc = open_out "BENCH_5.json" in
-   Printf.fprintf oc
-     "{\n\
-     \  \"pr\": 5,\n\
-     \  \"bench\": \"campaign_wall_clock_checkpoint\",\n\
-     \  \"spec\": %S,\n\
-     \  \"n\": %d,\n\
-     \  \"seed\": 5,\n\
-     \  \"checkpoints_recorded\": %d,\n\
-     \  \"restores\": %d,\n\
-     \  \"programs\": [\n"
-     (Core.Spec.label pipeline_spec)
-     n_pipeline ck_points ck_restores;
-   List.iteri
-     (fun i (name, off_t, on_t, identical) ->
-       Printf.fprintf oc
-         "    {\"program\": %S, \"off_s\": %.4f, \"on_s\": %.4f, \
-          \"speedup\": %.3f, \"bit_identical\": %b}%s\n"
-         name off_t on_t (off_t /. on_t) identical
-         (if i = List.length ck_rows - 1 then "" else ","))
-     ck_rows;
-   output_string oc "  ]\n}\n";
-   close_out oc);
-  Printf.printf "(wrote BENCH_5.json)\n";
+  Printf.printf "checkpoints recorded=%d  restores=%d\n" ck_points ck_restores;
   print_newline ();
   section "Suffix batching: campaign wall-clock, batch off vs on (checkpoint on)";
   Printf.printf "%-10s %10s %10s %9s %12s %12s   (%s over %d experiments)\n"
@@ -559,34 +533,31 @@ let run_perf () =
   let batch_saved = Core.Config.batching () in
   Core.Config.set_checkpoint true;
   let groups0, members0 = Core.Batch.stats () in
-  let batch_rows =
-    List.map
-      (fun name ->
-        let e = Option.get (Bench_suite.Registry.find name) in
-        let w =
-          Core.Workload.make ~name ~expected_output:(e.reference ())
-            (e.build ())
-        in
-        let campaign batch =
-          Core.Config.set_batch batch;
-          let f0, u0 = Vm.Memory.restore_stats () in
-          let t0 = Unix.gettimeofday () in
-          let r = Core.Campaign.run w pipeline_spec ~n:n_pipeline ~seed:5L in
-          let t = Unix.gettimeofday () -. t0 in
-          let f1, u1 = Vm.Memory.restore_stats () in
-          (t, r, f1 - f0, u1 - u0)
-        in
-        (* Warm-up records the checkpoint set outside the timed runs. *)
-        ignore (campaign true);
-        let off_t, off_r, off_full, _ = campaign false in
-        let on_t, on_r, on_full, on_undo = campaign true in
-        let identical = Core.Campaign.equal_result off_r on_r in
-        Printf.printf "%-10s %9.2fs %9.2fs %8.2fx %12d %12d   %s\n" name off_t
-          on_t (off_t /. on_t) off_full on_full
-          (if identical then "bit-identical results" else "!! MISMATCH");
-        (name, off_t, on_t, off_full, on_full, on_undo, identical))
-      pipeline_progs
-  in
+  List.iter
+    (fun name ->
+      let e = Option.get (Bench_suite.Registry.find name) in
+      let w =
+        Core.Workload.make ~name ~expected_output:(e.reference ())
+          (e.build ())
+      in
+      let campaign batch =
+        Core.Config.set_batch batch;
+        let f0, _ = Vm.Memory.restore_stats () in
+        let t0 = Unix.gettimeofday () in
+        let r = Core.Campaign.run w pipeline_spec ~n:n_pipeline ~seed:5L in
+        let t = Unix.gettimeofday () -. t0 in
+        let f1, _ = Vm.Memory.restore_stats () in
+        (t, r, f1 - f0)
+      in
+      (* Warm-up records the checkpoint set outside the timed runs. *)
+      ignore (campaign true);
+      let off_t, off_r, off_full = campaign false in
+      let on_t, on_r, on_full = campaign true in
+      let identical = Core.Campaign.equal_result off_r on_r in
+      Printf.printf "%-10s %9.2fs %9.2fs %8.2fx %12d %12d   %s\n" name off_t
+        on_t (off_t /. on_t) off_full on_full
+        (if identical then "bit-identical results" else "!! MISMATCH"))
+    pipeline_progs;
   let groups1, members1 = Core.Batch.stats () in
   Core.Config.set_batch batch_saved;
   Core.Config.set_checkpoint ~interval:ck_saved_k ck_saved_on;
@@ -594,42 +565,6 @@ let run_perf () =
   Printf.printf
     "groups=%d  batched experiments=%d  mean group size=%.1f\n" groups members
     (if groups = 0 then 0. else float_of_int members /. float_of_int groups);
-  (let oc = open_out "BENCH_9.json" in
-   let total_off = List.fold_left (fun a (_, _, _, f, _, _, _) -> a + f) 0 batch_rows
-   and total_on = List.fold_left (fun a (_, _, _, _, f, _, _) -> a + f) 0 batch_rows in
-   Printf.fprintf oc
-     "{\n\
-     \  \"pr\": 9,\n\
-     \  \"bench\": \"campaign_wall_clock_suffix_batching\",\n\
-     \  \"spec\": %S,\n\
-     \  \"n\": %d,\n\
-     \  \"seed\": 5,\n\
-     \  \"full_restores_unbatched\": %d,\n\
-     \  \"full_restores_batched\": %d,\n\
-     \  \"restore_reduction\": %.2f,\n\
-     \  \"groups\": %d,\n\
-     \  \"batched_experiments\": %d,\n\
-     \  \"mean_group_size\": %.2f,\n\
-     \  \"programs\": [\n"
-     (Core.Spec.label pipeline_spec)
-     n_pipeline total_off total_on
-     (if total_on = 0 then 0.
-      else float_of_int total_off /. float_of_int total_on)
-     groups members
-     (if groups = 0 then 0. else float_of_int members /. float_of_int groups);
-   List.iteri
-     (fun i (name, off_t, on_t, off_full, on_full, on_undo, identical) ->
-       Printf.fprintf oc
-         "    {\"program\": %S, \"off_s\": %.4f, \"on_s\": %.4f, \
-          \"speedup\": %.3f, \"full_restores_off\": %d, \
-          \"full_restores_on\": %d, \"undo_resets_on\": %d, \
-          \"bit_identical\": %b}%s\n"
-         name off_t on_t (off_t /. on_t) off_full on_full on_undo identical
-         (if i = List.length batch_rows - 1 then "" else ","))
-     batch_rows;
-   output_string oc "  ]\n}\n";
-   close_out oc);
-  Printf.printf "(wrote BENCH_9.json)\n";
   print_newline ();
   section
     "Adaptive sequential sampling: fixed-N grid vs CI-targeted rounds";
@@ -717,40 +652,6 @@ let run_perf () =
     total_fixed total_adaptive exp_ratio adaptive_stats.g_saved;
   Printf.printf "wall-clock:  fixed-N %.2fs, adaptive %.2fs (%.2fx)\n" fixed_t
     adaptive_t (fixed_t /. adaptive_t);
-  (let oc = open_out "BENCH_10.json" in
-   Printf.fprintf oc
-     "{\n\
-     \  \"pr\": 10,\n\
-     \  \"bench\": \"adaptive_vs_fixed_n\",\n\
-     \  \"ci_target\": %g,\n\
-     \  \"cap\": %d,\n\
-     \  \"seed\": 5,\n\
-     \  \"rounds\": %d,\n\
-     \  \"experiments_fixed\": %d,\n\
-     \  \"experiments_adaptive\": %d,\n\
-     \  \"experiments_saved\": %d,\n\
-     \  \"experiment_ratio\": %.3f,\n\
-     \  \"fixed_s\": %.4f,\n\
-     \  \"adaptive_s\": %.4f,\n\
-     \  \"wall_clock_ratio\": %.3f,\n\
-     \  \"cells\": [\n"
-     adaptive_target adaptive_cap adaptive_stats.g_rounds total_fixed
-     total_adaptive adaptive_stats.g_saved exp_ratio fixed_t adaptive_t
-     (fixed_t /. adaptive_t);
-   List.iteri
-     (fun i ((cr : Engine.Adaptive.cell_result), hw, identical) ->
-       Printf.fprintf oc
-         "    {\"program\": %S, \"domain\": %S, \"cap\": %d, \
-          \"closed_at\": %d, \"half_width\": %.5f, \"met\": %b, \
-          \"prefix_bit_identical\": %b}%s\n"
-         cr.r_cell.c_workload.Core.Workload.name
-         (Core.Domain.to_string cr.r_cell.c_spec.Core.Spec.domain)
-         adaptive_cap cr.r_closed_at hw cr.r_met identical
-         (if i = List.length adaptive_rows - 1 then "" else ","))
-     adaptive_rows;
-   output_string oc "  ]\n}\n";
-   close_out oc);
-  Printf.printf "(wrote BENCH_10.json)\n";
   print_newline ();
   section "Engine scaling: one campaign, sequential vs parallel";
   let spec = Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 10) in

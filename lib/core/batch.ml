@@ -60,7 +60,7 @@ let axis_of (spec : Spec.t) =
       | Technique.Write -> `Write)
   | Domain.Mem | Domain.Code -> `Dyn
 
-let run_one (w : Workload.t) mem p inj ev =
+let run_one (w : Workload.t) mem exits p inj ev =
   (* Per-member setup mirrors [Experiment.run_raw]'s compiled checkpoint
      path: domain bindings first, then run.  The memory has already been
      positioned at the group's restore image (or template state for the
@@ -83,8 +83,8 @@ let run_one (w : Workload.t) mem p inj ev =
   match p.point with
   | Some point ->
       Vm.Code.resume_prepared ~events:ev ~mem ~point ~orig:w.Workload.code
-        ~budget:w.Workload.budget code
-  | None -> Vm.Code.run ~events:ev ~mem ~budget:w.Workload.budget code
+        ?exits ~budget:w.Workload.budget code
+  | None -> Vm.Code.run ~events:ev ~mem ?exits ~budget:w.Workload.budget code
 
 let run_plans ?spacing (w : Workload.t) spec ~seed plans out conclude =
   let n = Array.length plans in
@@ -94,6 +94,9 @@ let run_plans ?spacing (w : Workload.t) spec ~seed plans out conclude =
     Vm.Checkpoint.working_mem ~digest:w.Workload.digest
       w.Workload.prog.Vm.Program.mem_template
   in
+  (* The set the plans were selected from (cached): it also enables the
+     VM's early exits, as on the one-at-a-time path. *)
+  let exits = Workload.ensure_checkpoints w in
   (* The sorted event queue: experiments ordered by restore point (the
      ord = -1 "run from the top" pseudo-group first), original index as
      the tie-break so equal-point members keep a deterministic order. *)
@@ -148,7 +151,7 @@ let run_plans ?spacing (w : Workload.t) spec ~seed plans out conclude =
         Injector.create ~spec ~candidates ?spacing (Prng.split_at base p.index)
       in
       let ev = Injector.events inj in
-      out.(k) <- Some (conclude w inj (run_one w mem p inj ev)))
+      out.(k) <- Some (conclude w inj (run_one w mem exits p inj ev)))
     perm;
   flush ();
   (* Leave the working memory in template state with the overlay dropped,

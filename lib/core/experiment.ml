@@ -29,7 +29,10 @@ let m_domain =
    Results are bit-identical to full execution: the prefix fires no
    events and consumes no injector randomness.  [code] is the code to
    execute — the workload's pristine code, or the Code domain's private
-   fork (same structure, so restored frames line up). *)
+   fork (same structure, so restored frames line up).  The checkpoint set
+   also enables the VM's early exits (convergence back to the golden run,
+   exact hang cycles), equally result-preserving; [~checkpoint:false]
+   keeps every instruction executed. *)
 let run_checkpointed (workload : Workload.t) inj ev code set =
   let mem =
     Vm.Checkpoint.working_mem ~digest:workload.Workload.digest
@@ -49,10 +52,10 @@ let run_checkpointed (workload : Workload.t) inj ev code set =
   match point with
   | Some p ->
       Vm.Code.resume ~events:ev ~mem ~point:p ~orig:workload.Workload.code
-        ~budget:workload.budget code
+        ?exits:set ~budget:workload.budget code
   | None ->
       Vm.Memory.reset mem;
-      Vm.Code.run ~events:ev ~mem ~budget:workload.budget code
+      Vm.Code.run ~events:ev ~mem ?exits:set ~budget:workload.budget code
 
 let run_raw ?(checkpoint = true) (workload : Workload.t) inj =
   match Config.active_backend () with

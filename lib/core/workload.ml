@@ -94,5 +94,5 @@ let ensure_checkpoints t =
         in
         let g = Vm.Code.run ~record:r ~budget:Vm.Exec.golden_budget t.code in
         match g.Vm.Exec.status with
-        | Finished -> Some (Vm.Checkpoint.finish r)
+        | Finished -> Some (Vm.Checkpoint.finish r ~final:g)
         | Trapped _ | Hung -> None)

@@ -40,7 +40,13 @@ type point = {
   ck_pages : (int * bytes) array; (* dirty pages at capture *)
 }
 
-type set = { interval : int; points : point array }
+type set = {
+  interval : int;
+  points : point array;
+  final : Exec.result;
+      (* the recording run's own result: what a run that reaches any
+         point's state, with no fault pending, goes on to return *)
+}
 
 type recorder = {
   mutable interval : int;
@@ -116,8 +122,12 @@ let add r p =
     Obs.Metrics.add m_pages_saved (Array.length p.ck_pages)
   end
 
-let finish r =
-  { interval = r.interval; points = Array.of_list (List.rev r.rev_points) }
+let finish r ~final =
+  {
+    interval = r.interval;
+    points = Array.of_list (List.rev r.rev_points);
+    final;
+  }
 
 let note_restore (p : point) =
   Atomic.incr restores_total;

@@ -41,7 +41,14 @@ type point = {
           whole memory image *)
 }
 
-type set = { interval : int; points : point array }
+type set = {
+  interval : int;
+  points : point array;
+  final : Exec.result;
+      (** the recording run's result: a run whose state equals a point's
+          with no fault pending returns exactly this (the VM's
+          convergence exit) *)
+}
 (** All checkpoints of one golden run; ordinals increase with index. *)
 
 type recorder = {
@@ -62,7 +69,9 @@ val recorder : interval:int -> recorder
     and the interval doubles, bounding memory for any program length.
     Raises [Invalid_argument] if [interval <= 0]. *)
 
-val finish : recorder -> set
+val finish : recorder -> final:Exec.result -> set
+(** The recorded points, with the recording run's [final] result. *)
+
 val add : recorder -> point -> unit
 (** Used by {!Code.run}'s capture path; re-arms the trigger thresholds. *)
 

@@ -128,6 +128,9 @@ type t = {
   main : int;
   mem_template : Memory.t;
   source : Program.t;
+  pristine : bool;
+      (* false for a {!fork}: its micro-ops may be patched, so reaching a
+         golden state no longer implies the golden future *)
 }
 
 let program t = t.source
@@ -388,6 +391,7 @@ let compile_uncached (p : Program.t) : t =
     main = p.main;
     mem_template = p.mem_template;
     source = p;
+    pristine = true;
   }
 
 let compile ?digest (p : Program.t) : t =
@@ -422,6 +426,7 @@ let fork t =
   {
     t with
     funcs = Array.map (fun cf -> { cf with uops = Array.copy cf.uops }) t.funcs;
+    pristine = false;
   }
 
 (* Install a mutated instruction (from Codeflip) at its site.  The site
@@ -438,6 +443,7 @@ let patch t ~fidx ~bidx ~idx p =
 (* ---- execution ---- *)
 
 exception Hang_exn
+exception Converge_exn
 
 type rstate = {
   mutable dyn : int;
@@ -445,7 +451,179 @@ type rstate = {
   mutable wc : int;
   mutable ret_i : int;
   mutable ret_f : float;
+  mutable probe : int;
+      (* the top of the loop enters [probe] once dyn reaches this — the
+         recorder's capture test, or the early exits' checkpoint compare
+         and cycle snapshots; max_int = never *)
+  mutable limit : int;
+      (* [min probe budget]: the loop's one per-instruction test covers
+         the probe and the watchdog *)
+  mutable on_block : bool;
+      (* jumps look further: the block hook, or a watched cycle snapshot *)
+  mutable watch_pc : int;
+      (* a jump to this pc compares the state with the cycle snapshot;
+         -1 = none *)
+  budget : int;
 }
+
+let rearm st probe =
+  st.probe <- probe;
+  st.limit <- min probe st.budget
+
+(* The shadow call stack: one entry per in-progress call, outermost
+   first — the calling function, its frame, the call's pc and dynamic
+   index.  Preallocated to the call-depth limit and reused by each
+   domain's runs, so a call pushes with four stores and allocates
+   nothing.  Kept only by recording runs and runs with early exits. *)
+type shadow = {
+  mutable sp : int;
+  mutable busy : bool;
+  sh_fidx : int array;
+  sh_frame : Exec.frame array;
+  sh_pc : int array;
+  sh_calld : int array;
+}
+
+let no_frame =
+  { Exec.ints = [||]; flts = [||]; reg_ty = [||]; last_write = [||] }
+
+let new_shadow ?(n = Exec.max_call_depth + 1) () =
+  {
+    sp = 0;
+    busy = false;
+    sh_fidx = Array.make n 0;
+    sh_frame = Array.make n no_frame;
+    sh_pc = Array.make n 0;
+    sh_calld = Array.make n 0;
+  }
+
+(* Never pushed: runs that keep no shadow stack share it. *)
+let no_shadow = new_shadow ~n:0 ()
+let shadow_key = Domain.DLS.new_key (fun () -> new_shadow ())
+
+(* The domain's stack, or a fresh one if a run is already using it. *)
+let acquire_shadow () =
+  let s = Domain.DLS.get shadow_key in
+  let s = if s.busy then new_shadow () else s in
+  s.busy <- true;
+  s.sp <- 0;
+  s
+
+(* A run that raised out of calls leaves frames below [sp]. *)
+let release_shadow s =
+  Array.fill s.sh_frame 0 s.sp no_frame;
+  s.busy <- false
+
+(* Popping drops the frame too: a returned frame left in the (major
+   heap) array would be promoted by the next minor collection. *)
+let pop sh =
+  let k = sh.sp - 1 in
+  sh.sp <- k;
+  Array.unsafe_set sh.sh_frame k no_frame
+
+let push sh fidx frame pc calld =
+  let k = sh.sp in
+  Array.unsafe_set sh.sh_fidx k fidx;
+  Array.unsafe_set sh.sh_frame k frame;
+  Array.unsafe_set sh.sh_pc k pc;
+  Array.unsafe_set sh.sh_calld k calld;
+  sh.sp <- k + 1
+
+(* ---- early exits ---- *)
+
+type exits = {
+  golden : Checkpoint.set;
+  st : rstate;
+  sh : shadow;
+  out : Buffer.t;
+  mem : Memory.t;
+  ev : events;
+  code : t;
+  mutable armed : bool; (* no injector event is pending *)
+  mutable conv : bool; (* the convergence exit may still fire *)
+  mutable next_pt : int; (* the golden point to compare with next *)
+  mutable out_ok : int; (* output bytes checked against the golden output *)
+  mutable cyc : bool; (* the cycle exit is armed *)
+  mutable mark : int; (* next snapshot: first block start with dyn >= mark *)
+  mutable window : int;
+  mutable snap : Checkpoint.point option; (* the Brent snapshot *)
+  mutable snap_out : int; (* output length at the snapshot *)
+  mutable skipped : int; (* instructions a fast-forward skipped *)
+  (* Witness of the last failed state compare — a register (frame index,
+     0 = outermost; slot; float file?) or the memory — checked first
+     next time: a diverged value usually stays diverged, so a run that
+     never converges pays O(stack depth) per compare after the first. *)
+  mutable w_frame : int; (* -1: no register witness *)
+  mutable w_slot : int;
+  mutable w_flt : bool;
+  mutable w_mem : bool;
+}
+
+(* First Brent window, in dynamic instructions; it doubles per
+   snapshot. *)
+let cycle_window0 = 256
+
+(* Plain counters kept unconditionally (one increment per exited run) so
+   tests see the exits fire with metrics collection off; the Obs
+   counters mirror them. *)
+let converge_total = Atomic.make 0
+let cycle_total = Atomic.make 0
+let early_exit_stats () = (Atomic.get converge_total, Atomic.get cycle_total)
+
+let m_exit_converge =
+  Obs.Metrics.counter ~labels:[ ("kind", "converge") ]
+    "onebit_vm_early_exits_total"
+
+let m_exit_cycle =
+  Obs.Metrics.counter ~labels:[ ("kind", "cycle") ] "onebit_vm_early_exits_total"
+
+let m_exit_skipped =
+  Obs.Metrics.counter "onebit_vm_early_exit_skipped_instructions_total"
+
+let note_exit counter m skipped =
+  Atomic.incr counter;
+  if Obs.Metrics.enabled () then begin
+    Obs.Metrics.incr m;
+    Obs.Metrics.add m_exit_skipped skipped
+  end
+
+(* Whether pc [i] starts a block of [cf]: only those are jump targets. *)
+let is_block_start cf i =
+  let off = cf.block_off in
+  let lo = ref 0 and hi = ref (Array.length off - 1) and found = ref false in
+  while (not !found) && !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    if off.(mid) = i then found := true
+    else if off.(mid) < i then lo := mid + 1
+    else hi := mid - 1
+  done;
+  !found
+
+(* First slot where two register files differ, or -1. *)
+let ints_diff (a : int array) (b : int array) =
+  let n = Array.length a in
+  if n <> Array.length b then 0
+  else
+    let rec go k =
+      if k >= n then -1
+      else if Array.unsafe_get a k <> Array.unsafe_get b k then k
+      else go (k + 1)
+    in
+    go 0
+
+(* Bit for bit: NaN payloads and signed zeros count. *)
+let flt_differs (a : float array) (b : float array) k =
+  Int64.bits_of_float (Array.unsafe_get a k)
+  <> Int64.bits_of_float (Array.unsafe_get b k)
+
+let flts_diff (a : float array) (b : float array) =
+  let n = Array.length a in
+  if n <> Array.length b then 0
+  else
+    let rec go k =
+      if k >= n then -1 else if flt_differs a b k then k else go (k + 1)
+    in
+    go 0
 
 (* Shared placeholder for eventless runs; its thresholds are never read
    because the watch flags are false, and it is never mutated. *)
@@ -475,13 +653,247 @@ let igetf (frame : Exec.frame) (op : Ir.Instr.operand) =
   | FImm x -> x
   | Imm _ | Glob _ -> assert false
 
+(* The VM state at the top of the loop ([i] the pc about to run): a
+   golden checkpoint when recording ([full]), a cycle snapshot otherwise
+   — which needs neither the output bytes (only their count,
+   [snap_out]) nor the [last_write] tables. *)
+let snapshot st sh out fidx (frame : Exec.frame) i ~pages ~full =
+  let snap_of fidx (fr : Exec.frame) pc calld =
+    {
+      Checkpoint.fs_fidx = fidx;
+      fs_pc = pc;
+      fs_call_dyn = calld;
+      fs_ints = Array.copy fr.Exec.ints;
+      fs_flts = Array.copy fr.Exec.flts;
+      fs_lw = (if full then Array.copy fr.Exec.last_write else [||]);
+    }
+  in
+  let n = sh.sp in
+  {
+    Checkpoint.ck_dyn = st.dyn;
+    ck_rc = st.rc;
+    ck_wc = st.wc;
+    ck_out = (if full then Buffer.contents out else "");
+    ck_stack =
+      Array.init (n + 1) (fun k ->
+          if k = n then snap_of fidx frame i 0
+          else
+            snap_of sh.sh_fidx.(k) sh.sh_frame.(k) sh.sh_pc.(k)
+              sh.sh_calld.(k));
+    ck_pages = pages;
+  }
+
+let golden_dyn x = x.golden.Checkpoint.final.Exec.dyn_count
+
+(* The next dyn the top of the loop must stop at: the next golden point
+   while convergence is possible, then the cycle exit's arming (past
+   the golden length) or its next snapshot mark. *)
+let set_probe x =
+  let pts = x.golden.Checkpoint.points in
+  let conv_at =
+    if x.conv && x.next_pt < Array.length pts then pts.(x.next_pt).ck_dyn
+    else max_int
+  in
+  rearm x.st (min conv_at (if x.cyc then x.mark else golden_dyn x + 1))
+
+let event_pending (ev : events) = ev.ev_cand <> max_int || ev.ev_dyn <> max_int
+
+(* The last flip has fired: compare from the first point at or after the
+   next top of the loop. *)
+let arm x =
+  let pts = x.golden.Checkpoint.points in
+  x.armed <- true;
+  x.conv <- x.code.pristine && golden_dyn x <= x.st.budget;
+  let lo = ref 0 and hi = ref (Array.length pts) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if pts.(mid).ck_dyn < x.st.dyn then lo := mid + 1 else hi := mid
+  done;
+  x.next_pt <- !lo;
+  set_probe x
+
+let after_event x = if (not x.armed) && not (event_pending x.ev) then arm x
+
+(* Emitted bytes cannot be taken back: once the output leaves the golden
+   output's prefix, the run can never converge. *)
+let check_output x =
+  let g = x.golden.Checkpoint.final.Exec.output in
+  let n = Buffer.length x.out in
+  if n > String.length g then x.conv <- false
+  else begin
+    let k = ref x.out_ok in
+    while x.conv && !k < n do
+      if Buffer.nth x.out !k <> String.unsafe_get g !k then x.conv <- false;
+      incr k
+    done;
+    x.out_ok <- n
+  end
+
+(* Registers of frames 0..n (n = the current [frame], the others on the
+   shadow stack) against [stk]: the witness first, then a scan that
+   records the first difference as the new witness.  The compares run at
+   every golden point of a run that has not converged, so they are loops
+   over refs and allocate nothing. *)
+let regs_match x n (frame : Exec.frame) (stk : Checkpoint.frame_snap array) =
+  let sh = x.sh in
+  let k = x.w_frame and s = x.w_slot in
+  let witness_differs =
+    k >= 0 && k <= n
+    &&
+    let fr = if k = n then frame else sh.sh_frame.(k) in
+    if x.w_flt then
+      let a = fr.Exec.flts and b = stk.(k).fs_flts in
+      s < Array.length a && s < Array.length b && flt_differs a b s
+    else
+      let a = fr.Exec.ints and b = stk.(k).fs_ints in
+      s < Array.length a && s < Array.length b && a.(s) <> b.(s)
+  in
+  (not witness_differs)
+  &&
+  let ok = ref true and k = ref n in
+  while !ok && !k >= 0 do
+    let fr = if !k = n then frame else sh.sh_frame.(!k) in
+    let si = ints_diff fr.Exec.ints stk.(!k).fs_ints in
+    let sf = if si >= 0 then -1 else flts_diff fr.Exec.flts stk.(!k).fs_flts in
+    if si >= 0 || sf >= 0 then begin
+      x.w_frame <- !k;
+      x.w_slot <- max si sf;
+      x.w_flt <- sf >= 0;
+      ok := false
+    end
+    else decr k
+  done;
+  !ok
+
+let mem_match x (p : Checkpoint.point) =
+  Memory.matches_image x.mem p.ck_pages
+  ||
+  (x.w_mem <- true;
+   false)
+
+(* The current state against [p], counters and output aside, cheapest
+   first: the stack's shape (functions and pcs), then registers bit for
+   bit and the memory image — memory first when it held the last
+   difference.  [last_write] and the outer frames' call dyns are not
+   compared: they only feed injector events (an injection's weight, a
+   write-candidate event's dyn), none can fire after the last flip, and
+   neither reaches [Exec.result]. *)
+let state_matches x fidx (frame : Exec.frame) i (p : Checkpoint.point) =
+  let sh = x.sh in
+  let stk = p.ck_stack and n = sh.sp in
+  Array.length stk = n + 1
+  && stk.(n).fs_fidx = fidx
+  && stk.(n).fs_pc = i
+  && (let ok = ref true and k = ref 0 in
+      while !ok && !k < n do
+        ok := stk.(!k).fs_fidx = sh.sh_fidx.(!k) && stk.(!k).fs_pc = sh.sh_pc.(!k);
+        incr k
+      done;
+      !ok)
+  &&
+  if x.w_mem then
+    mem_match x p
+    && begin
+         x.w_mem <- false;
+         regs_match x n frame stk
+       end
+  else regs_match x n frame stk && mem_match x p
+
+(* The top of the loop at the armed threshold: a golden point's compare
+   (convergence), the cycle exit's arming past the golden length, or a
+   Brent snapshot. *)
+let exit_probe x fidx frame i d =
+  let st = x.st and pts = x.golden.Checkpoint.points in
+  let npts = Array.length pts in
+  if x.conv then begin
+    check_output x;
+    while x.next_pt < npts && pts.(x.next_pt).ck_dyn < d do
+      x.next_pt <- x.next_pt + 1
+    done;
+    if x.conv && x.next_pt < npts && pts.(x.next_pt).ck_dyn = d then begin
+      let p = pts.(x.next_pt) in
+      (* The output so far is the golden prefix, so with equal lengths
+         it is the point's. *)
+      if
+        st.rc = p.ck_rc && st.wc = p.ck_wc
+        && Buffer.length x.out = String.length p.ck_out
+        && state_matches x fidx frame i p
+      then raise Converge_exn;
+      x.next_pt <- x.next_pt + 1
+    end
+  end;
+  if (not x.cyc) && d > golden_dyn x then begin
+    (* Past the golden length: arm the cycle exit. *)
+    x.cyc <- true;
+    x.mark <- d
+  end;
+  if x.cyc && d >= x.mark then
+    (* Brent: a snapshot at the first block start past each doubling
+       mark — jumps compare at block starts only — then a wider
+       window. *)
+    if is_block_start x.code.funcs.(fidx) i then begin
+      x.snap <-
+        Some
+          (snapshot st x.sh x.out fidx frame i ~pages:(Memory.image x.mem)
+             ~full:false);
+      x.snap_out <- Buffer.length x.out;
+      st.watch_pc <- i;
+      st.on_block <- true;
+      x.mark <- d + x.window;
+      x.window <- 2 * x.window
+    end
+    else x.mark <- d + 1;
+  set_probe x
+
+(* A jump to the snapshot's pc.  A state that repeats exactly after P
+   instructions, with no event pending and no output in between, repeats
+   forever: whole periods are skipped, keeping short of the watchdog,
+   and the rest executes normally to it. *)
+let cycle_entry x fidx frame pc =
+  let st = x.st in
+  match x.snap with
+  | Some s
+    when Buffer.length x.out = x.snap_out && state_matches x fidx frame pc s ->
+      let d = st.dyn in
+      let period = d - s.ck_dyn in
+      let k = (st.budget - d) / period in
+      let drc = st.rc - s.ck_rc and dwc = st.wc - s.ck_wc in
+      st.dyn <- d + (k * period);
+      st.rc <- st.rc + (k * drc);
+      st.wc <- st.wc + (k * dwc);
+      x.skipped <- k * period;
+      x.snap <- None;
+      x.mark <- max_int;
+      st.watch_pc <- -1;
+      st.on_block <- false;
+      set_probe x
+  | _ -> ()
+
 (* The one interpreter loop behind [run] and [resume].
 
-   Recording ([record]): a golden run additionally maintains a shadow
+   The top of the loop pays one threshold compare, [dyn >= st.limit],
+   for the watchdog and both of the slow paths below; [rearm] moves the
+   threshold.
+
+   Recording ([record]): a golden run additionally maintains the shadow
    call stack and, at the top of the loop whenever a candidate-ordinal
    counter crosses the recorder's threshold, captures a {!Checkpoint.point}
    — before the instruction's dyn increment and candidate blocks, so the
-   point is valid for both the read and the write ordinal axis.
+   point is valid for both the read and the write ordinal axis.  Each
+   instruction moves rc and wc by at most one, so the capture test can
+   first hold [min (next_rc - rc) (next_wc - wc)] instructions later:
+   probing there instead of every instruction captures the same points.
+
+   Early exits ([exits], the golden checkpoint set): once no injector
+   event is pending — the last flip has fired — the run may stop early
+   with the result full execution would return.  Convergence (pristine
+   code only): at each golden point's [ck_dyn], a state equal to the
+   point's means the rest of the run is the golden run's rest, so the
+   result is the golden result.  Cycle: past the golden length, Brent
+   snapshots at block starts, compared at later jumps to the same pc,
+   find an exactly repeating state; whole
+   periods are then skipped arithmetically and the run continues to the
+   watchdog.  DESIGN.md has the full argument.
 
    Resuming ([resume]): counters, output and memory pages are restored
    from the point, then the captured call stack is re-entered outermost
@@ -490,8 +902,8 @@ let igetf (frame : Exec.frame) (op : Ir.Instr.operand) =
    call's write-candidate post-block using the call's own dynamic index)
    before that frame continues at the following pc.  [st.ret_i]/[st.ret_f]
    are dead at the top of the loop, so zero-initialising them is exact. *)
-let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
-    (code : t) =
+let run_internal ?events ?block_hook ?record ?exits ?mem ?resume ?orig
+    ~budget (code : t) =
   let mem =
     match mem with
     | Some m -> m
@@ -500,7 +912,20 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
         else Memory.clone code.mem_template
   in
   let out = Buffer.create 256 in
-  let st = { dyn = 0; rc = 0; wc = 0; ret_i = 0; ret_f = 0.0 } in
+  let st =
+    {
+      dyn = 0;
+      rc = 0;
+      wc = 0;
+      ret_i = 0;
+      ret_f = 0.0;
+      probe = max_int;
+      limit = budget;
+      on_block = Option.is_some block_hook;
+      watch_pc = -1;
+      budget;
+    }
+  in
   (match resume with
   | Some (p : Checkpoint.point) ->
       Buffer.add_string out p.ck_out;
@@ -521,35 +946,79 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
   let recd =
     match record with Some r -> r | None -> Checkpoint.null_recorder
   in
-  (* Shadow call stack, innermost first: (fidx, frame, call pc, call dyn)
-     of every in-progress Ucall.  Maintained only when recording. *)
-  let rstack : (int * Exec.frame * int * int) list ref = ref [] in
+  (* Exits need a fault schedule to wait out, no block hook (the cycle
+     exit uses the jumps' callout) and an undo-tracking memory (compares
+     look at its dirty pages). *)
+  let exits_on =
+    Option.is_some exits && Option.is_some events
+    && (not st.on_block) && (not rec_on) && Memory.tracks_undo mem
+  in
+  let shadow_on = rec_on || exits_on in
+  let sh = if shadow_on then acquire_shadow () else no_shadow in
+  let xs =
+    match exits with
+    | Some golden when exits_on ->
+        Some
+          {
+            golden;
+            st;
+            sh;
+            out;
+            mem;
+            ev;
+            code;
+            armed = false;
+            conv = false;
+            next_pt = 0;
+            out_ok = 0;
+            cyc = false;
+            mark = max_int;
+            window = cycle_window0;
+            snap = None;
+            snap_out = 0;
+            skipped = 0;
+            w_frame = -1;
+            w_slot = 0;
+            w_flt = false;
+            w_mem = false;
+          }
+    | _ -> None
+  in
   let funcs = code.funcs in
-  let capture fidx (frame : Exec.frame) i =
-    let snap_of (fidx, (fr : Exec.frame), pc, calld) =
-      {
-        Checkpoint.fs_fidx = fidx;
-        fs_pc = pc;
-        fs_call_dyn = calld;
-        fs_ints = Array.copy fr.Exec.ints;
-        fs_flts = Array.copy fr.Exec.flts;
-        fs_lw = Array.copy fr.Exec.last_write;
-      }
-    in
-    let stack =
-      Array.of_list (List.rev_map snap_of ((fidx, frame, i, 0) :: !rstack))
-    in
-    Checkpoint.add recd
-      {
-        Checkpoint.ck_dyn = st.dyn;
-        ck_rc = st.rc;
-        ck_wc = st.wc;
-        ck_out = Buffer.contents out;
-        ck_stack = stack;
-        ck_pages = Memory.snapshot_pages mem;
-      }
+  let probe fidx frame i d =
+    if rec_on then begin
+      if st.rc >= recd.Checkpoint.next_rc || st.wc >= recd.Checkpoint.next_wc
+      then
+        Checkpoint.add recd
+          (snapshot st sh out fidx frame i ~pages:(Memory.snapshot_pages mem)
+             ~full:true);
+      rearm st
+        (d
+        + min
+            (recd.Checkpoint.next_rc - st.rc)
+            (recd.Checkpoint.next_wc - st.wc))
+    end
+    else match xs with Some x -> exit_probe x fidx frame i d | None -> ()
+  in
+  let at_limit fidx frame i d =
+    if d >= st.probe then probe fidx frame i d;
+    if d >= budget then begin
+      st.dyn <- d + 1;
+      raise Hang_exn
+    end
+  in
+  let after_event () =
+    match xs with Some x -> after_event x | None -> ()
+  in
+  let cycle_entry fidx frame pc =
+    match xs with Some x -> cycle_entry x fidx frame pc | None -> ()
   in
   let rec exec_fn fidx (frame : Exec.frame) depth ~start ~hook0 =
+    (* A local copy of the state record, so the loop reads its counters
+       and threshold through one stack slot rather than through the
+       closure environment; [opaque_identity] keeps the compiler from
+       folding the binding back into the environment access. *)
+    let st = Sys.opaque_identity st in
     let cf = Array.unsafe_get funcs fidx in
     let uops = cf.uops and flags = cf.flags and metas = cf.metas in
     let ints = frame.Exec.ints
@@ -560,20 +1029,21 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
     let running = ref true in
     while !running do
       let i = !pc in
-      if rec_on && (st.rc >= recd.Checkpoint.next_rc
-                    || st.wc >= recd.Checkpoint.next_wc)
-      then capture fidx frame i;
       let d = st.dyn in
+      if d >= st.limit then at_limit fidx frame i d;
       st.dyn <- d + 1;
-      if d >= budget then raise Hang_exn;
-      if watch_dyn && d >= ev.ev_dyn then
+      if watch_dyn && d >= ev.ev_dyn then begin
         ev.handle ~dyn:d ~cand:(-1) frame (Array.unsafe_get metas i);
+        after_event ()
+      end;
       let fl = Array.unsafe_get flags i in
       if fl land 1 <> 0 then begin
         let c = st.rc in
         st.rc <- c + 1;
-        if watch_read && (c >= ev.ev_cand || d >= ev.ev_dyn) then
-          ev.handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i)
+        if watch_read && (c >= ev.ev_cand || d >= ev.ev_dyn) then begin
+          ev.handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i);
+          after_event ()
+        end
       end;
       (match Array.unsafe_get uops i with
       | Uadd (dst, a, b, m) ->
@@ -778,9 +1248,9 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
               cframe.Exec.flts.(j) <- Array.unsafe_get flts cr.c_args.(j)
             else cframe.Exec.ints.(j) <- Array.unsafe_get ints cr.c_args.(j)
           done;
-          if rec_on then rstack := (fidx, frame, i, d) :: !rstack;
+          if shadow_on then push sh fidx frame i d;
           exec_fn cr.c_callee cframe (depth + 1) ~start:0 ~hook0:true;
-          if rec_on then rstack := List.tl !rstack;
+          if shadow_on then pop sh;
           if cr.c_dst >= 0 then
             if cr.c_dst_f then Array.unsafe_set flts cr.c_dst st.ret_f
             else Array.unsafe_set ints cr.c_dst st.ret_i;
@@ -819,15 +1289,21 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
       | Uabort -> raise (Trap.Trap Abort_called)
       | Ujmp (p, bidx) ->
           pc := p;
-          if has_bh then bh ~fidx ~bidx
+          if st.on_block then
+            if has_bh then bh ~fidx ~bidx
+            else if p = st.watch_pc then cycle_entry fidx frame p
       | Ucbr (c, tpc, tb, fpc, fb) ->
           if Array.unsafe_get ints c <> 0 then begin
             pc := tpc;
-            if has_bh then bh ~fidx ~bidx:tb
+            if st.on_block then
+              if has_bh then bh ~fidx ~bidx:tb
+              else if tpc = st.watch_pc then cycle_entry fidx frame tpc
           end
           else begin
             pc := fpc;
-            if has_bh then bh ~fidx ~bidx:fb
+            if st.on_block then
+              if has_bh then bh ~fidx ~bidx:fb
+              else if fpc = st.watch_pc then cycle_entry fidx frame fpc
           end
       | Uret -> running := false
       | Uret_i s ->
@@ -837,17 +1313,21 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
           st.ret_f <- Array.unsafe_get flts s;
           running := false
       | Uinterp ins ->
-          interp_step frame depth ins;
+          interp_step fidx frame depth i d ins;
           pc := i + 1
       | Uinterp_t tm -> (
           match tm with
           | Br l ->
               pc := cf.block_off.(l);
-              if has_bh then bh ~fidx ~bidx:l
+              if st.on_block then
+                if has_bh then bh ~fidx ~bidx:l
+                else if !pc = st.watch_pc then cycle_entry fidx frame !pc
           | Cbr { cond; if_true; if_false } ->
               let l = if igeti frame cond <> 0 then if_true else if_false in
               pc := cf.block_off.(l);
-              if has_bh then bh ~fidx ~bidx:l
+              if st.on_block then
+                if has_bh then bh ~fidx ~bidx:l
+                else if !pc = st.watch_pc then cycle_entry fidx frame !pc
           | Ret None -> running := false
           | Ret (Some v) ->
               (match code.source.Program.funcs.(fidx).Program.ret with
@@ -860,14 +1340,16 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
         let c = st.wc in
         st.wc <- c + 1;
         Array.unsafe_set lw ((fl lsr 2) - 1) d;
-        if watch_write && (c >= ev.ev_cand || d >= ev.ev_dyn) then
-          ev.handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i)
+        if watch_write && (c >= ev.ev_cand || d >= ev.ev_dyn) then begin
+          ev.handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i);
+          after_event ()
+        end
       end
     done
   (* One mutated instruction, interpreted generically — the mirror of the
      seed interpreter's [step] over the same (flipped) [Ir.Instr.t], with
      calls re-entering compiled code. *)
-  and interp_step (frame : Exec.frame) depth (ins : Ir.Instr.t) =
+  and interp_step fidx (frame : Exec.frame) depth i d (ins : Ir.Instr.t) =
     let ints = frame.Exec.ints and flts = frame.Exec.flts in
     match ins with
     | Binop { op; ty; dst; a; b } ->
@@ -944,7 +1426,9 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
                   cframe.Exec.flts.(j) <- igetf frame arg
                 else cframe.Exec.ints.(j) <- igeti frame arg)
               args;
+            if shadow_on then push sh fidx frame i d;
             exec_fn cidx cframe (depth + 1) ~start:0 ~hook0:true;
+            if shadow_on then pop sh;
             (match (dst, src.Program.ret) with
             | Some d, Some rt ->
                 if Ir.Ty.is_float rt then flts.(d) <- st.ret_f
@@ -991,8 +1475,10 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
       let c = st.wc in
       st.wc <- c + 1;
       frame.Exec.last_write.((fl lsr 2) - 1) <- calld;
-      if watch_write && (c >= ev.ev_cand || calld >= ev.ev_dyn) then
-        ev.handle ~dyn:calld ~cand:c frame cf.metas.(i)
+      if watch_write && (c >= ev.ev_cand || calld >= ev.ev_dyn) then begin
+        ev.handle ~dyn:calld ~cand:c frame cf.metas.(i);
+        after_event ()
+      end
     end
   in
   let rebuild (s : Checkpoint.frame_snap) =
@@ -1013,11 +1499,18 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
           ~hook0:false
     | (outer : Checkpoint.frame_snap) :: rest ->
         let frame = rebuild outer in
+        if shadow_on then push sh outer.fs_fidx frame outer.fs_pc outer.fs_call_dyn;
         resume_stack rest (depth + 1);
+        if shadow_on then pop sh;
         complete_call outer.fs_fidx frame outer.fs_pc outer.fs_call_dyn;
         exec_fn outer.fs_fidx frame depth ~start:(outer.fs_pc + 1)
           ~hook0:false
   in
+  (match xs with
+  | _ when rec_on -> rearm st 0
+  | Some x when not (event_pending ev) -> arm x
+  | Some _ | None -> ());
+  let converged = ref false in
   let status =
     try
       (match resume with
@@ -1037,28 +1530,46 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
     with
     | Trap.Trap t -> Exec.Trapped t
     | Hang_exn -> Exec.Hung
+    | Converge_exn ->
+        converged := true;
+        Exec.Finished
+    | e ->
+        if shadow_on then release_shadow sh;
+        raise e
   in
-  let result =
-    {
-      Exec.status;
-      output = Buffer.contents out;
-      dyn_count = st.dyn;
-      read_cands = st.rc;
-      write_cands = st.wc;
-    }
-  in
-  Exec.record_run result;
-  result
+  if shadow_on then release_shadow sh;
+  match xs with
+  | Some x when !converged ->
+      (* [st.dyn] stopped at the point: that many were executed. *)
+      let result = x.golden.Checkpoint.final in
+      let skipped = result.Exec.dyn_count - st.dyn in
+      note_exit converge_total m_exit_converge skipped;
+      Exec.record_run ~skipped result;
+      result
+  | _ ->
+      let result =
+        {
+          Exec.status;
+          output = Buffer.contents out;
+          dyn_count = st.dyn;
+          read_cands = st.rc;
+          write_cands = st.wc;
+        }
+      in
+      let skipped = match xs with Some x -> x.skipped | None -> 0 in
+      if skipped > 0 then note_exit cycle_total m_exit_cycle skipped;
+      Exec.record_run ~skipped result;
+      result
 
-let run ?events ?block_hook ?record ?mem ~budget code =
-  run_internal ?events ?block_hook ?record ?mem ~budget code
+let run ?events ?block_hook ?record ?exits ?mem ~budget code =
+  run_internal ?events ?block_hook ?record ?exits ?mem ~budget code
 
-let resume ~events ~mem ~(point : Checkpoint.point) ?orig ~budget code =
+let resume ~events ~mem ~(point : Checkpoint.point) ?orig ?exits ~budget code =
   Checkpoint.note_restore point;
   Memory.restore_pages mem point.ck_pages;
-  run_internal ~events ~mem ~resume:point ?orig ~budget code
+  run_internal ~events ~mem ~resume:point ?orig ?exits ~budget code
 
-let resume_prepared ~events ~mem ~(point : Checkpoint.point) ?orig ~budget code
-    =
+let resume_prepared ~events ~mem ~(point : Checkpoint.point) ?orig ?exits
+    ~budget code =
   Checkpoint.note_restore point;
-  run_internal ~events ~mem ~resume:point ?orig ~budget code
+  run_internal ~events ~mem ~resume:point ?orig ?exits ~budget code

@@ -58,6 +58,7 @@ val run :
   ?events:events ->
   ?block_hook:(fidx:int -> bidx:int -> unit) ->
   ?record:Checkpoint.recorder ->
+  ?exits:Checkpoint.set ->
   ?mem:Memory.t ->
   budget:int ->
   t ->
@@ -74,13 +75,30 @@ val run :
     template — it must be in template state ({!Memory.reset} /
     {!Memory.restore_pages} it first); the caller retains ownership
     across runs.  This is what lets one per-domain memory serve a whole
-    shard of experiments. *)
+    shard of experiments.
+
+    [exits] (the program's golden checkpoint set) enables the early
+    exits.  They apply only to a run with [events] and an undo-tracking
+    [mem], without [block_hook] or [record], and only once no event is
+    pending (both thresholds [max_int]: the last flip has fired):
+    - {e convergence} (pristine code only, not a {!fork}): at each
+      point's [ck_dyn], a state equal to the point's — counters, call
+      stack, registers bit for bit, memory image and output so far —
+      ends the run with [exits.final], when its [dyn_count <= budget];
+    - {e cycle}: once the run is longer than [exits.final], a state at
+      a block start that repeats exactly (stack, registers, memory,
+      output length) is advanced by whole periods short of [budget],
+      then executed to the watchdog.
+    Either way the result is field for field the one full execution
+    returns.  [onebit_vm_instructions_total] counts only the
+    instructions executed; {!early_exit_stats} counts the exits. *)
 
 val resume :
   events:events ->
   mem:Memory.t ->
   point:Checkpoint.point ->
   ?orig:t ->
+  ?exits:Checkpoint.set ->
   budget:int ->
   t ->
   Exec.result
@@ -95,13 +113,15 @@ val resume :
     fault domain), pass the pristine original as [orig]: the restored
     stack's in-progress calls complete with their pre-flip destination
     registers, matching non-checkpoint execution, where the call record
-    is destructured at dispatch and thus immune to later patches. *)
+    is destructured at dispatch and thus immune to later patches.
+    [exits] is {!run}'s. *)
 
 val resume_prepared :
   events:events ->
   mem:Memory.t ->
   point:Checkpoint.point ->
   ?orig:t ->
+  ?exits:Checkpoint.set ->
   budget:int ->
   t ->
   Exec.result
@@ -145,6 +165,12 @@ val site_reads : t -> int array array
 val site_writes : t -> int array array
 (** Static inject-on-write candidate sites per block (instructions with a
     destination register). *)
+
+val early_exit_stats : unit -> int * int
+(** [(convergence exits, cycle exits)] since process start; counted even
+    when metrics collection is disabled.  Obs mirrors:
+    [onebit_vm_early_exits_total{kind="converge"|"cycle"}] and
+    [onebit_vm_early_exit_skipped_instructions_total]. *)
 
 val cache_stats : unit -> int * int
 (** [(decodes, cache_hits)] since process start; counted even when

@@ -54,11 +54,14 @@ let m_traps =
    counter it restored plus the suffix it executed, so the instruction
    counter measures campaign work in full-execution-equivalent units
    (the skipped distance is observable separately in the
-   onebit_vm_checkpoint_restore_distance histogram). *)
-let record_run result =
+   onebit_vm_checkpoint_restore_distance histogram).  A run that ended
+   early (Code's convergence and cycle exits) reports its full logical
+   [dyn_count] but did not execute the [skipped] instructions, so only
+   the ones up to its exit are counted. *)
+let record_run ?(skipped = 0) result =
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.incr m_runs;
-    Obs.Metrics.add m_instructions result.dyn_count;
+    Obs.Metrics.add m_instructions (result.dyn_count - skipped);
     match result.status with
     | Finished -> ()
     | Hung -> Obs.Metrics.incr m_hangs

@@ -69,11 +69,13 @@ val golden_budget : int
 val max_call_depth : int
 (** Frame-depth limit shared by both execution backends (1000). *)
 
-val record_run : result -> unit
+val record_run : ?skipped:int -> result -> unit
 (** Whole-run observability accounting (runs / instructions / traps /
     hangs).  Called by [run] itself and by the compiled pipeline
     ({!Code.run}), so the vm_* metrics are backend-independent.
-    Self-gates on [Obs.Metrics.enabled]. *)
+    [skipped] (default 0) is the part of [dyn_count] an early-exited run
+    never executed; the instruction counter leaves it out.  Self-gates
+    on [Obs.Metrics.enabled]. *)
 
 (** {2 Shared instruction semantics}
 

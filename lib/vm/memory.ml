@@ -28,6 +28,9 @@ type undo = {
          [None] when no baseline is installed.  An array, not a hash
          table: [reset_to_baseline] probes it once per dirty page on the
          batch hot path. *)
+  mutable last_diff : int;
+      (* page that made the last [matches_image] fail, or -1: compared
+         first next time, since a diverged page usually stays diverged *)
 }
 
 type t = {
@@ -83,6 +86,7 @@ let with_undo t =
           n_dirty = 0;
           baseline = None;
           overlay = Array.make npages None;
+          last_diff = -1;
         };
   }
 
@@ -149,17 +153,28 @@ let reset t =
           if Obs.Metrics.enabled () then
             Obs.Metrics.add m_pages_reset (Array.length pages)
 
+(* Copies of the pages that may differ from the template: the dirty set
+   plus, while a baseline is installed, the overlay's pages (which the
+   dirty set does not track); every other page is the template's. *)
+let live_pages t u =
+  let base = match u.baseline with Some b -> Array.map fst b | None -> [||] in
+  Array.append (Array.sub u.dirty 0 u.n_dirty) base
+  |> Array.to_list |> List.sort_uniq compare
+  |> List.map (fun p -> (p, Bytes.sub t.arena (p lsl page_bits) (page_len t p)))
+  |> Array.of_list
+
 let snapshot_pages t =
   match t.undo with
   | None -> invalid_arg "Memory.snapshot_pages: not an undo-tracking memory"
   | Some u ->
       if u.baseline <> None then
         invalid_arg "Memory.snapshot_pages: baseline overlay installed";
-      let pages = Array.sub u.dirty 0 u.n_dirty in
-      Array.sort compare pages;
-      Array.map
-        (fun p -> (p, Bytes.sub t.arena (p lsl page_bits) (page_len t p)))
-        pages
+      live_pages t u
+
+let image t =
+  match t.undo with
+  | None -> invalid_arg "Memory.image: not an undo-tracking memory"
+  | Some u -> live_pages t u
 
 let restore_pages t pages =
   (match t.undo with
@@ -212,6 +227,82 @@ let reset_to_baseline t =
       u.n_dirty <- 0;
       Atomic.incr undo_total;
       if Obs.Metrics.enabled () then Obs.Metrics.incr m_resets_undo
+
+(* ---- whole-image comparison (the VM's early exits) ---- *)
+
+let bytes_equal a aoff b boff len =
+  let i = ref 0 and ok = ref true in
+  while !ok && !i + 8 <= len do
+    if Bytes.get_int64_ne a (aoff + !i) <> Bytes.get_int64_ne b (boff + !i)
+    then ok := false;
+    i := !i + 8
+  done;
+  while !ok && !i < len do
+    if Bytes.unsafe_get a (aoff + !i) <> Bytes.unsafe_get b (boff + !i) then
+      ok := false;
+    incr i
+  done;
+  !ok
+
+(* Index of page [p] in a page-sorted image, or -1. *)
+let find_page (pages : (int * bytes) array) p =
+  let lo = ref 0 and hi = ref (Array.length pages - 1) and r = ref (-1) in
+  while !r < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let q = fst (Array.unsafe_get pages mid) in
+    if q = p then r := mid else if q < p then lo := mid + 1 else hi := mid - 1
+  done;
+  !r
+
+(* Page [p] of the arena against page [p] of the expected image: its
+   entry in [pages], else the template. *)
+let page_ok t u pages p =
+  let off = p lsl page_bits in
+  let len = page_len t p in
+  match find_page pages p with
+  | -1 -> bytes_equal t.arena off u.template off len
+  | k -> bytes_equal t.arena off (snd (Array.unsafe_get pages k)) 0 len
+
+(* Loops over refs, no closures: this runs at every golden checkpoint of
+   a run that has not converged, and must not allocate. *)
+let matches_image t pages =
+  match t.undo with
+  | None -> invalid_arg "Memory.matches_image: not an undo-tracking memory"
+  | Some u ->
+      let bad = ref (-1) in
+      if u.last_diff >= 0 && not (page_ok t u pages u.last_diff) then
+        bad := u.last_diff;
+      (* Image pages the run never touched are the template in the
+         arena, so comparing every image page catches one that differs
+         from the template; live pages outside the image must equal the
+         template. *)
+      let k = ref 0 in
+      while !bad < 0 && !k < Array.length pages do
+        let p, b = Array.unsafe_get pages !k in
+        if not (bytes_equal t.arena (p lsl page_bits) b 0 (page_len t p)) then
+          bad := p;
+        incr k
+      done;
+      k := 0;
+      while !bad < 0 && !k < u.n_dirty do
+        let p = Array.unsafe_get u.dirty !k in
+        if find_page pages p < 0 && not (page_ok t u pages p) then bad := p;
+        incr k
+      done;
+      (match u.baseline with
+      | None -> ()
+      | Some base ->
+          k := 0;
+          while !bad < 0 && !k < Array.length base do
+            let p = fst (Array.unsafe_get base !k) in
+            if find_page pages p < 0 && not (page_ok t u pages p) then bad := p;
+            incr k
+          done);
+      if !bad >= 0 then begin
+        u.last_diff <- !bad;
+        false
+      end
+      else true
 
 let check t ~width ~addr =
   if addr < 0 || addr + width > t.size then raise (Trap.Trap Trap.Segfault);

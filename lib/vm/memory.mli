@@ -70,6 +70,20 @@ val reset_to_baseline : t -> unit
     at undo-log cost.  This is the intra-group step between batch
     members.  Raises [Invalid_argument] if no baseline is installed. *)
 
+val image : t -> (int * bytes) array
+(** Copies of every page that may differ from the template — the dirty
+    set plus, while a baseline is installed, the baseline's pages —
+    sorted by page index.  Like {!snapshot_pages}, but valid under a
+    baseline overlay: with the template it is the complete arena. *)
+
+val matches_image : t -> (int * bytes) array -> bool
+(** Whether the arena equals, byte for byte, the template overlaid with
+    [pages] (sorted by page index, as {!snapshot_pages} and {!image}
+    return them).  Compares the image's pages and every dirty or
+    baseline page, so the cost is O(those pages), not O(arena); the page
+    that failed the previous call is compared first.  Raises
+    [Invalid_argument] on a memory without undo tracking. *)
+
 val restore_stats : unit -> int * int
 (** [(full, undo)] — process-wide counts of full page-restores
     ({!restore_pages} / {!set_baseline}) and O(dirty) baseline resets

@@ -298,6 +298,45 @@ let test_vm_instruction_counter () =
       Alcotest.(check int) "counter advances by dyn_count" res.dyn_count
         (after - before))
 
+(* An early-exited run counts only the instructions it executed: the
+   instruction counter plus the skipped-instruction counter is the
+   run's logical dyn_count, and each exit is counted under its kind. *)
+let test_early_exit_counters () =
+  let counter ?labels name =
+    match Obs.Metrics.find ?labels name with
+    | Some (Obs.Metrics.Counter n) -> n
+    | _ -> 0
+  in
+  with_collection ~metrics:true ~trace:false (fun () ->
+      List.iter
+        (fun (kind, w, spec, first) ->
+          let exits () =
+            counter ~labels:[ ("kind", kind) ] "onebit_vm_early_exits_total"
+          in
+          let skipped () =
+            counter "onebit_vm_early_exit_skipped_instructions_total"
+          in
+          let instrs () = counter "onebit_vm_instructions_total" in
+          let w = Lazy.force w in
+          let e0 = exits () and s0 = skipped () and i0 = instrs () in
+          let r, _, _ = Suite_early_exit.forced ~checkpoint:true w spec first in
+          Alcotest.(check int) (kind ^ " exit counted") (e0 + 1) (exits ());
+          Alcotest.(check bool) (kind ^ " skipped > 0") true (skipped () > s0);
+          Alcotest.(check int)
+            (kind ^ ": executed + skipped = dyn_count")
+            r.Vm.Exec.dyn_count
+            (instrs () - i0 + (skipped () - s0)))
+        [
+          ( "converge",
+            Suite_early_exit.converge_program,
+            Core.Spec.single Read,
+            (1, 0, 3) );
+          ( "cycle",
+            Suite_early_exit.cycle_program,
+            Core.Spec.single Write,
+            (0, -1, 4) );
+        ])
+
 (* ---- unified snapshot ---- *)
 
 let test_snapshot_add_count_read () =
@@ -470,6 +509,8 @@ let suites =
           test_engine_campaign_bit_identical;
         Alcotest.test_case "vm instruction counter exact" `Quick
           test_vm_instruction_counter;
+        Alcotest.test_case "early exit counters" `Quick
+          test_early_exit_counters;
         Alcotest.test_case "snapshot add/count/read" `Quick
           test_snapshot_add_count_read;
         Alcotest.test_case "snapshot pp" `Quick test_snapshot_pp;
