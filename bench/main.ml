@@ -359,11 +359,6 @@ let run_perf () =
   let open Bechamel in
   let entry = Option.get (Bench_suite.Registry.find "crc32") in
   let workload = Core.Workload.make ~name:"crc32" (entry.build ()) in
-  let golden_run_seed =
-    Test.make ~name:"golden-run(crc32,seed)"
-      (Staged.stage (fun () ->
-           ignore (Vm.Exec.run ~budget:Vm.Exec.golden_budget workload.prog)))
-  in
   let golden_run_compiled =
     Test.make ~name:"golden-run(crc32,compiled)"
       (Staged.stage (fun () ->
@@ -397,7 +392,6 @@ let run_perf () =
   in
   let tests =
     [
-      golden_run_seed;
       golden_run_compiled;
       one_exp Core.Technique.Read "experiment(crc32,read,m=3)";
       one_exp Core.Technique.Write "experiment(crc32,write,m=3)";
@@ -425,75 +419,12 @@ let run_perf () =
     (fun t -> benchmark (Test.make_grouped ~name:"perf" [ t ]))
     tests;
   print_newline ();
-  (* -- decode-once pipeline vs the seed interpreter -- *)
+  section "Checkpointed prefix reuse: campaign wall-clock, checkpoint off vs on";
   let pipeline_progs = [ "crc32"; "qsort"; "fft" ] in
-  section "Compiled pipeline: golden-run interpreter throughput, seed vs compiled";
-  (* Time-boxed repetition: run each backend for ~0.5s of wall clock and
-     report dynamic instructions per second. *)
-  let rate run =
-    ignore (run ()) (* warm-up *);
-    let t0 = Unix.gettimeofday () in
-    let instrs = ref 0 in
-    while Unix.gettimeofday () -. t0 < 0.5 do
-      instrs := !instrs + (run () : Vm.Exec.result).dyn_count
-    done;
-    float_of_int !instrs /. (Unix.gettimeofday () -. t0)
-  in
-  Printf.printf "%-10s %14s %14s %9s\n" "program" "seed instr/s"
-    "compiled" "speedup";
-  List.iter
-    (fun name ->
-      let e = Option.get (Bench_suite.Registry.find name) in
-      let p = Vm.Program.load (e.build ()) in
-      let code = Vm.Code.compile p in
-      let seed_rate =
-      rate (fun () -> Vm.Exec.run ~budget:Vm.Exec.golden_budget p)
-      in
-      let comp_rate =
-      rate (fun () -> Vm.Code.run ~budget:Vm.Exec.golden_budget code)
-      in
-      Printf.printf "%-10s %14.3e %14.3e %8.2fx\n" name seed_rate comp_rate
-      (comp_rate /. seed_rate))
-    pipeline_progs;
-  print_newline ();
-  section "Compiled pipeline: end-to-end campaign wall-clock, seed vs compiled";
-  let saved_backend = Core.Config.active_backend () in
-  let ck_saved_on = Core.Config.checkpointing ()
-  and ck_saved_k = Core.Config.checkpoint_interval () in
-  (* Checkpointing off here: this table isolates decode-once vs the seed
-     interpreter; prefix reuse is measured separately below. *)
-  Core.Config.set_checkpoint false;
   let pipeline_spec = Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 10) in
   let n_pipeline = 300 in
-  Printf.printf "%-10s %10s %10s %9s   (%s over %d experiments)\n" "program"
-    "seed" "compiled" "speedup"
-    (Core.Spec.label pipeline_spec)
-    n_pipeline;
-  List.iter
-    (fun name ->
-      let e = Option.get (Bench_suite.Registry.find name) in
-      let w =
-      Core.Workload.make ~name ~expected_output:(e.reference ())
-        (e.build ())
-      in
-      let campaign backend =
-      Core.Config.set_backend backend;
-      let t0 = Unix.gettimeofday () in
-      let r = Core.Campaign.run w pipeline_spec ~n:n_pipeline ~seed:5L in
-      (Unix.gettimeofday () -. t0, r)
-      in
-      ignore (campaign Core.Config.Compiled) (* warm-up *);
-      let seed_t, seed_r = campaign Core.Config.Seed in
-      let comp_t, comp_r = campaign Core.Config.Compiled in
-      Printf.printf "%-10s %9.2fs %9.2fs %8.2fx   %s\n" name seed_t comp_t
-      (seed_t /. comp_t)
-      (if Core.Campaign.equal_result seed_r comp_r then
-         "bit-identical results"
-       else "!! MISMATCH"))
-    pipeline_progs;
-  Core.Config.set_backend saved_backend;
-  print_newline ();
-  section "Checkpointed prefix reuse: campaign wall-clock, checkpoint off vs on";
+  let ck_saved_on = Core.Config.checkpointing ()
+  and ck_saved_k = Core.Config.checkpoint_interval () in
   Printf.printf "%-10s %10s %10s %9s   (%s over %d experiments)\n" "program"
     "off" "on" "speedup"
     (Core.Spec.label pipeline_spec)
@@ -524,47 +455,6 @@ let run_perf () =
   Core.Config.set_checkpoint ~interval:ck_saved_k ck_saved_on;
   let ck_points, ck_restores = Vm.Checkpoint.stats () in
   Printf.printf "checkpoints recorded=%d  restores=%d\n" ck_points ck_restores;
-  print_newline ();
-  section "Suffix batching: campaign wall-clock, batch off vs on (checkpoint on)";
-  Printf.printf "%-10s %10s %10s %9s %12s %12s   (%s over %d experiments)\n"
-    "program" "off" "on" "speedup" "full(off)" "full(on)"
-    (Core.Spec.label pipeline_spec)
-    n_pipeline;
-  let batch_saved = Core.Config.batching () in
-  Core.Config.set_checkpoint true;
-  let groups0, members0 = Core.Batch.stats () in
-  List.iter
-    (fun name ->
-      let e = Option.get (Bench_suite.Registry.find name) in
-      let w =
-        Core.Workload.make ~name ~expected_output:(e.reference ())
-          (e.build ())
-      in
-      let campaign batch =
-        Core.Config.set_batch batch;
-        let f0, _ = Vm.Memory.restore_stats () in
-        let t0 = Unix.gettimeofday () in
-        let r = Core.Campaign.run w pipeline_spec ~n:n_pipeline ~seed:5L in
-        let t = Unix.gettimeofday () -. t0 in
-        let f1, _ = Vm.Memory.restore_stats () in
-        (t, r, f1 - f0)
-      in
-      (* Warm-up records the checkpoint set outside the timed runs. *)
-      ignore (campaign true);
-      let off_t, off_r, off_full = campaign false in
-      let on_t, on_r, on_full = campaign true in
-      let identical = Core.Campaign.equal_result off_r on_r in
-      Printf.printf "%-10s %9.2fs %9.2fs %8.2fx %12d %12d   %s\n" name off_t
-        on_t (off_t /. on_t) off_full on_full
-        (if identical then "bit-identical results" else "!! MISMATCH"))
-    pipeline_progs;
-  let groups1, members1 = Core.Batch.stats () in
-  Core.Config.set_batch batch_saved;
-  Core.Config.set_checkpoint ~interval:ck_saved_k ck_saved_on;
-  let groups = groups1 - groups0 and members = members1 - members0 in
-  Printf.printf
-    "groups=%d  batched experiments=%d  mean group size=%.1f\n" groups members
-    (if groups = 0 then 0. else float_of_int members /. float_of_int groups);
   print_newline ();
   section
     "Adaptive sequential sampling: fixed-N grid vs CI-targeted rounds";
@@ -1134,8 +1024,8 @@ let run_fleet () =
 (* ------------------------------------------------------------------ *)
 
 let print_cache_stats () =
-  let s = Core.Runner.cache_stats (Lazy.force runner) in
-  Printf.printf "# cache: %s\n" (Core.Runner.pp_stats s);
+  Printf.printf "# cache: %s\n"
+    (Obs.Snapshot.pp (Core.Runner.snapshot (Lazy.force runner)));
   match store with
   | Some st ->
       let ss = Store.stats st in

@@ -449,8 +449,6 @@ let experiment_cmd =
     let outcome = Core.Outcome.classify ~golden_output:w.golden.output res in
     Printf.printf "experiment %d of %s on %s\n" index (Core.Spec.label spec)
       program;
-    Printf.printf "backend:    %s\n"
-      (Core.Config.backend_name (Core.Config.active_backend ()));
     Printf.printf "domain:     %s\n"
       (Core.Domain.to_string spec.Core.Spec.domain);
     Printf.printf "outcome:    %s\n" (Core.Outcome.to_string outcome);
@@ -502,14 +500,10 @@ let reproduce_cmd =
     let outcome = Core.Outcome.classify ~golden_output:w.golden.output res in
     Printf.printf "reproduce %d of %s on %s (n=%d, seed=%Ld)\n" index
       (Core.Spec.label spec) program n seed;
-    Printf.printf "backend:    %s\n"
-      (Core.Config.backend_name (Core.Config.active_backend ()));
-    (* The campaign above honours ONEBIT_BATCH; the replay never does —
-       [run_raw ~checkpoint:false] executes one experiment from the top,
-       outside the batch scheduler, whatever the environment says. *)
-    Printf.printf
-      "replay:     unbatched full execution (checkpoint restore and suffix \
-       batching bypassed)\n";
+    (* The campaign above honours ONEBIT_CHECKPOINT; the replay never
+       does — [run_raw ~checkpoint:false] executes one experiment from
+       the top, whatever the environment says. *)
+    Printf.printf "replay:     full execution (checkpoint restore bypassed)\n";
     Printf.printf "domain:     %s\n"
       (Core.Domain.to_string spec.Core.Spec.domain);
     Printf.printf "outcome:    %s\n" (Core.Outcome.to_string outcome);
@@ -572,9 +566,9 @@ let reproduce_cmd =
           matches the campaign's stored record exactly (outcome, activation \
           count, first injection, dynamic length, output) and that every \
           injection landed in the requested fault domain.  Prints which \
-          execution backend, replay path and domain produced the result — \
-          the replay always runs unbatched from the top, regardless of \
-          ONEBIT_BATCH/ONEBIT_CHECKPOINT; exits 1 on divergence.")
+          replay path and domain produced the result — the replay always \
+          runs from the top, regardless of ONEBIT_CHECKPOINT; exits 1 on \
+          divergence.")
     Term.(
       const run $ program_arg $ domain_arg $ technique_arg $ mbf_arg $ win_arg
       $ n_arg $ seed_arg $ index_arg)

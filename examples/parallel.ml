@@ -45,6 +45,6 @@ let () =
   let runner = Engine.runner ~n ~seed ~jobs:4 ~store () in
   ignore (Core.Runner.campaign runner workload spec);
   ignore (Core.Runner.campaign runner workload spec);
-  print_endline (Core.Runner.pp_stats (Core.Runner.cache_stats runner));
+  print_endline (Obs.Snapshot.pp (Core.Runner.snapshot runner));
   Store.close store;
   Printf.printf "sdc: %d/%d (%.1f%%)\n" seq.sdc seq.n (Core.Campaign.sdc_pct seq)

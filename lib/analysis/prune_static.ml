@@ -19,21 +19,18 @@ let write_fraction (s : Dataflow.Prune.summary) =
   Dataflow.Prune.benign_fraction ~total:s.write_total
     ~benign:(s.write_benign + s.write_redundant)
 
-(* Replay the golden run once, recording the per-candidate static
-   identities; candidate ordinal [i] of the stream is exactly the [i]-th
-   pre-hook (read) or post-hook (write) event, matching the ordinal
-   [Injector] counts when forcing a first injection. *)
+(* Replay the golden run once per candidate stream, recording the
+   per-candidate static identities; entry [i] is candidate ordinal [i],
+   the ordinal [Injector] counts when forcing a first injection. *)
 let collect_metas (w : Core.Workload.t) =
-  let reads = ref [] and writes = ref [] in
-  let hooks =
-    {
-      Vm.Exec.pre = (fun ~dyn:_ _ m -> reads := m :: !reads);
-      post = (fun ~dyn:_ _ m -> writes := m :: !writes);
-      at = Vm.Exec.no_hook;
-    }
+  let stream watch =
+    let metas = ref [] in
+    ignore
+      (Vm.Code.each_candidate ~watch ~budget:w.budget w.code
+         (fun ~dyn:_ ~cand:_ _ m -> metas := m :: !metas));
+    Array.of_list (List.rev !metas)
   in
-  ignore (Vm.Exec.run ~hooks ~budget:w.budget w.prog);
-  (Array.of_list (List.rev !reads), Array.of_list (List.rev !writes))
+  (stream `Read, stream `Write)
 
 (* A dynamic fault site with at least one provably-benign bit. *)
 type site = { ordinal : int; slot : int; ty : Ir.Ty.t; demand : int }

@@ -20,6 +20,10 @@ type row = {
       (** of those, outcomes that were not [Benign] — must be 0 *)
 }
 
+val collect_metas : Core.Workload.t -> Vm.Meta.t array * Vm.Meta.t array
+(** The static identity of every read and every write candidate of the
+    workload's golden run, indexed by candidate ordinal. *)
+
 val pruned_fraction : Dataflow.Prune.summary -> float
 (** Pruned share of the combined read+write error space. *)
 

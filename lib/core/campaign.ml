@@ -113,23 +113,14 @@ let acc_profile acc =
 
 let empty_profile = acc_profile (acc_create ())
 
-(* Execute a set of campaign indices, preferring the batched scheduler
-   ([Batch]: experiments grouped by restore point, one full page-restore
-   amortised per group) and falling back to the bit-identical
-   one-at-a-time path when batching does not apply.  Results come back
-   positionally — [k] holds experiment [indices.(k)] — and are always
-   folded into accumulators in index order, so campaign results are
-   byte-identical across the batch switch. *)
+(* Execute a set of campaign indices, experiment [indices.(k)] on its
+   private generator [Prng.split_at base indices.(k)]; results are folded
+   into accumulators in index order. *)
 let run_indices ?spacing workload spec ~seed ~indices =
-  match Batch.run_indices ?spacing workload spec ~seed ~indices with
-  | Some exps -> exps
-  | None ->
-      let base = Prng.of_seed seed in
-      Array.map
-        (fun i ->
-          let rng = Prng.split_at base i in
-          Experiment.run ?spacing workload spec rng)
-        indices
+  let base = Prng.of_seed seed in
+  Array.map
+    (fun i -> Experiment.run ?spacing workload spec (Prng.split_at base i))
+    indices
 
 let run_shard ?(keep_experiments = false) ?spacing workload spec ~seed ~lo ~hi =
   if lo < 0 || hi <= lo then invalid_arg "Campaign.run_shard: bad range";

@@ -7,17 +7,6 @@
    than failing, ONEBIT_JOBS=0 means one worker per core, an empty
    ONEBIT_STORE means no store). *)
 
-type backend = Seed | Compiled
-
-let backend_name = function Seed -> "seed" | Compiled -> "compiled"
-
-(* Lenient, like every other resolver: unknown values fall back. *)
-let backend_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "seed" | "interp" | "interpreter" -> Some Seed
-  | "compiled" | "code" | "vm" -> Some Compiled
-  | _ -> None
-
 (* ONEBIT_CHECKPOINT accepts "on"/"off" (and the usual boolean spellings),
    a bare positive interval ("512", implying on), or "on,512"/"off,512".
    Anything else falls back to the default, like every other resolver. *)
@@ -57,10 +46,8 @@ type t = {
   progress : bool;
   metrics : string option;
   trace : string option;
-  backend : backend;
   checkpoint : bool;
   checkpoint_interval : int;
-  batch : bool;
   incremental : bool;
   coord : string option;
   lease_ttl : float;
@@ -82,10 +69,8 @@ let default =
     progress = false;
     metrics = None;
     trace = None;
-    backend = Compiled;
     checkpoint = true;
     checkpoint_interval = 1024;
-    batch = true;
     incremental = false;
     coord = None;
     lease_ttl = 30.;
@@ -137,10 +122,6 @@ let of_env ?(getenv = Sys.getenv_opt) () =
       | Some _ | None -> false);
     metrics = path "ONEBIT_METRICS";
     trace = path "ONEBIT_TRACE";
-    backend =
-      (match Option.bind (getenv "ONEBIT_BACKEND") backend_of_string with
-      | Some b -> b
-      | None -> default.backend);
     checkpoint =
       (match Option.bind (getenv "ONEBIT_CHECKPOINT") checkpoint_of_string with
       | Some (on, _) -> on
@@ -149,14 +130,6 @@ let of_env ?(getenv = Sys.getenv_opt) () =
       (match Option.bind (getenv "ONEBIT_CHECKPOINT") checkpoint_of_string with
       | Some (_, Some k) -> k
       | Some (_, None) | None -> default.checkpoint_interval);
-    batch =
-      (match getenv "ONEBIT_BATCH" with
-      | Some s -> (
-          match String.lowercase_ascii (String.trim s) with
-          | "on" | "true" | "yes" | "1" -> true
-          | "off" | "false" | "no" | "0" -> false
-          | _ -> default.batch)
-      | None -> default.batch);
     incremental =
       (match getenv "ONEBIT_INCREMENTAL" with
       | Some ("1" | "true" | "yes" | "on") -> true
@@ -181,8 +154,7 @@ let of_env ?(getenv = Sys.getenv_opt) () =
   }
 
 let override ?n ?seed ?programs ?cap ?prune_n ?jobs ?shard_size ?store
-    ?progress ?metrics ?trace ?backend ?checkpoint ?checkpoint_interval ?batch
-    ?incremental ?coord ?lease_ttl ?domain ?adaptive ?ci_target t =
+    ?progress ?metrics ?trace ?checkpoint ?checkpoint_interval ?incremental ?coord ?lease_ttl ?domain ?adaptive ?ci_target t =
   let opt v fallback = Option.value v ~default:fallback in
   {
     n = opt n t.n;
@@ -197,13 +169,11 @@ let override ?n ?seed ?programs ?cap ?prune_n ?jobs ?shard_size ?store
     progress = opt progress t.progress;
     metrics = (match metrics with Some p -> Some p | None -> t.metrics);
     trace = (match trace with Some p -> Some p | None -> t.trace);
-    backend = opt backend t.backend;
     checkpoint = opt checkpoint t.checkpoint;
     checkpoint_interval =
       (match checkpoint_interval with
       | Some k when k > 0 -> k
       | Some _ | None -> t.checkpoint_interval);
-    batch = opt batch t.batch;
     incremental = opt incremental t.incremental;
     coord = (match coord with Some c -> Some c | None -> t.coord);
     lease_ttl =
@@ -218,24 +188,10 @@ let override ?n ?seed ?programs ?cap ?prune_n ?jobs ?shard_size ?store
       | Some _ | None -> t.ci_target);
   }
 
-(* Process-wide active backend: what [Experiment]/[Workload] dispatch on
-   when no configuration is threaded through explicitly.  Resolved
-   lazily from the environment on first read so library users who never
-   touch Config still honour ONEBIT_BACKEND. *)
-let active = ref None
-let set_backend b = active := Some b
-
-let active_backend () =
-  match !active with
-  | Some b -> b
-  | None ->
-      let b = (of_env ()).backend in
-      active := Some b;
-      b
-
-(* Process-wide checkpointing switch, mirroring [active_backend]: what
-   [Experiment]/[Workload] consult when no configuration is threaded
-   through explicitly.  Lazily resolved from ONEBIT_CHECKPOINT. *)
+(* Process-wide checkpointing switch: what [Experiment]/[Workload]
+   consult when no configuration is threaded through explicitly.
+   Resolved lazily from the environment on first read so library users
+   who never touch Config still honour ONEBIT_CHECKPOINT. *)
 let ck_active = ref None
 
 let checkpoint_state () =
@@ -258,25 +214,6 @@ let set_checkpoint ?interval on =
 let checkpointing () = fst (checkpoint_state ())
 let checkpoint_interval () = snd (checkpoint_state ())
 
-(* Process-wide suffix-batching switch, same shape as the checkpoint
-   switch: lazily resolved from ONEBIT_BATCH, settable by flags/tests.
-   Batching is a pure scheduling change — results are byte-identical on
-   or off — so this only trades restore amortisation for per-experiment
-   dispatch. *)
-let batch_active = ref None
-
-let batching () =
-  match !batch_active with
-  | Some b -> b
-  | None ->
-      let b = (of_env ()).batch in
-      batch_active := Some b;
-      b
-
-let set_batch b = batch_active := Some b
-
 let install t =
-  set_backend t.backend;
   set_checkpoint ~interval:t.checkpoint_interval t.checkpoint;
-  set_batch t.batch;
   Obs.install_sink ?metrics:t.metrics ?trace:t.trace ()

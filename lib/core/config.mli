@@ -21,20 +21,10 @@
       ("-"/"stderr" = stderr); setting it enables collection
     - [ONEBIT_TRACE] — JSONL span-trace path, written at exit; setting
       it enables collection and tracing
-    - [ONEBIT_BACKEND] — execution backend: "seed" (per-instruction
-      interpreter) or "compiled" (decode-once micro-op pipeline, the
-      default); the two are bit-identical, the knob exists for
-      differential testing and benchmarking
-    - [ONEBIT_CHECKPOINT] — golden-prefix checkpoint reuse on the
-      compiled backend: "on"/"off", a bare capture interval ("512",
-      implying on), or "on,512".  Default on with interval 1024;
-      results are bit-identical either way (the knob exists for
-      benchmarking and differential testing)
-    - [ONEBIT_BATCH] — checkpoint-tree suffix batching: group a shard's
-      experiments by their selected restore point and amortise one full
-      page-restore across each group ("on"/"off"/boolean spellings;
-      default on).  Applies only when the compiled backend and
-      checkpointing are active; results are byte-identical either way
+    - [ONEBIT_CHECKPOINT] — golden-prefix checkpoint reuse:
+      "on"/"off", a bare capture interval ("512", implying on), or
+      "on,512".  Default on with interval 1024; results are
+      bit-identical either way ("off" is the full-execution oracle)
     - [ONEBIT_COORD] — fleet coordinator address ([unix:PATH] or
       [HOST:PORT]; empty = none), the default for [onebit work] and
       [onebit engine status --coord]
@@ -49,17 +39,6 @@
     - [ONEBIT_CI] — adaptive stopping target: the Wilson 95% CI
       half-width (a proportion, e.g. 0.02 = ±2 points) at which a
       cell's SDC estimate closes (default 0.02) *)
-
-type backend = Seed | Compiled
-(** Which VM executes workloads: the seed interpreter ({!Vm.Exec.run})
-    or the compiled micro-op pipeline ({!Vm.Code.run}). *)
-
-val backend_name : backend -> string
-(** ["seed"] or ["compiled"]. *)
-
-val backend_of_string : string -> backend option
-(** Lenient: ["seed"]/["interp"]/["interpreter"] and
-    ["compiled"]/["code"]/["vm"], case-insensitive; [None] otherwise. *)
 
 val checkpoint_of_string : string -> (bool * int option) option
 (** Lenient ONEBIT_CHECKPOINT syntax: ["on"]/["off"] (or the usual
@@ -78,13 +57,8 @@ type t = {
   progress : bool;
   metrics : string option;
   trace : string option;
-  backend : backend;
-  checkpoint : bool;
-      (** reuse golden-prefix checkpoints on the compiled backend *)
+  checkpoint : bool;  (** reuse golden-prefix checkpoints *)
   checkpoint_interval : int;  (** capture every K candidate instructions *)
-  batch : bool;
-      (** group experiments by selected checkpoint and amortise restores
-          ([ONEBIT_BATCH]; default on; byte-identical either way) *)
   incremental : bool;
       (** compose campaigns from cached per-function profiles
           ([Engine.Incremental]); resolved from ONEBIT_INCREMENTAL
@@ -119,10 +93,8 @@ val override :
   ?progress:bool ->
   ?metrics:string ->
   ?trace:string ->
-  ?backend:backend ->
   ?checkpoint:bool ->
   ?checkpoint_interval:int ->
-  ?batch:bool ->
   ?incremental:bool ->
   ?coord:string ->
   ?lease_ttl:float ->
@@ -142,22 +114,13 @@ val resolve_jobs : int -> int
 val install : t -> unit
 (** Arm the observability sinks described by [metrics]/[trace]
     (enables collection and registers at-exit dump writers; a no-op if
-    neither is set) and make [t.backend]/[t.checkpoint] the
-    process-wide active backend and checkpointing state. *)
-
-val active_backend : unit -> backend
-(** The process-wide backend {!Experiment} and {!Workload} dispatch on.
-    Resolved lazily from [ONEBIT_BACKEND] on first read unless
-    {!set_backend} or {!install} has fixed it. *)
-
-val set_backend : backend -> unit
-(** Fix the process-wide backend (benchmarks and differential tests
-    flip this between timed sections). *)
+    neither is set) and make [t.checkpoint] the process-wide
+    checkpointing state. *)
 
 val checkpointing : unit -> bool
-(** Whether {!Experiment} may reuse golden-prefix checkpoints (compiled
-    backend only).  Resolved lazily from [ONEBIT_CHECKPOINT] on first
-    read unless {!set_checkpoint} or {!install} has fixed it. *)
+(** Whether {!Experiment} may reuse golden-prefix checkpoints.  Resolved
+    lazily from [ONEBIT_CHECKPOINT] on first read unless
+    {!set_checkpoint} or {!install} has fixed it. *)
 
 val checkpoint_interval : unit -> int
 (** The capture interval in candidate instructions (default 1024). *)
@@ -167,15 +130,3 @@ val set_checkpoint : ?interval:int -> bool -> unit
     and positive, also fixes the capture interval.  Benchmarks and the
     differential suite flip this between timed sections — results are
     bit-identical either way. *)
-
-val batching : unit -> bool
-(** Whether {!Campaign} may group experiments by selected checkpoint
-    and amortise restores ({!Batch}).  Resolved lazily from
-    [ONEBIT_BATCH] on first read unless {!set_batch} or {!install} has
-    fixed it.  Only consulted when the compiled backend and
-    checkpointing are both active. *)
-
-val set_batch : bool -> unit
-(** Fix the process-wide batching state (benchmarks and the batch
-    differential suite flip this between sections — results are
-    byte-identical either way). *)

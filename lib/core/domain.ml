@@ -5,7 +5,7 @@
    arena byte between dynamic instructions (data memory / caches).
    [Code] flips a bit of the stored program — an instruction field of
    the loaded IR, the instruction-cache analog — with decode-cache
-   invalidation semantics on the compiled backend.
+   invalidation semantics.
 
    Note: this module shadows [Stdlib.Domain] inside [Core]; the few
    call sites that need OCaml's multicore domains qualify them as

@@ -8,8 +8,7 @@
       between dynamic instructions: the data-memory/cache analog.
     - [Code] — a uniform bit of a uniform instruction field of the
       stored program, flipped between dynamic instructions: the
-      instruction-cache analog.  On the compiled backend the flip
-      patches a private fork of the decoded micro-op arrays
+      instruction-cache analog.  The flip patches a private fork of the decoded micro-op arrays
       (decode-cache invalidation); flips that produce an undecodable
       field raise {!Vm.Trap.Trap}[ Ill_instr].
 

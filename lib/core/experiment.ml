@@ -20,10 +20,10 @@ let m_domain =
            "onebit_inj_domain_total")
        Domain.all)
 
-(* Compiled-backend run with golden-prefix checkpoint reuse: restore the
-   nearest checkpoint at-or-before the first flip's target — candidate
-   ordinal (Reg) or dynamic index (Mem/Code), i.e. the event schedule's
-   watch axis — and execute only the suffix.  Even when no checkpoint
+(* A run with golden-prefix checkpoint reuse: restore the nearest
+   checkpoint at-or-before the first flip's target — candidate ordinal
+   (Reg) or dynamic index (Mem/Code), i.e. the event schedule's watch
+   axis — and execute only the suffix.  Even when no checkpoint
    precedes the target, the per-domain undo-tracking working memory
    replaces the per-experiment arena clone — reset costs O(dirty pages).
    Results are bit-identical to full execution: the prefix fires no
@@ -58,57 +58,34 @@ let run_checkpointed (workload : Workload.t) inj ev code set =
       Vm.Code.run ~events:ev ~mem ?exits:set ~budget:workload.budget code
 
 let run_raw ?(checkpoint = true) (workload : Workload.t) inj =
-  match Config.active_backend () with
-  | Config.Seed -> (
-      let hooks = Injector.hooks inj in
-      match Injector.domain inj with
-      | Domain.Reg ->
-          Vm.Exec.run ~hooks ~budget:workload.budget workload.prog
-      | Domain.Mem ->
-          let mem = Vm.Memory.clone workload.prog.Vm.Program.mem_template in
-          Injector.bind_mem inj ~addrs:workload.Workload.mem_addrs ~mem;
-          Vm.Exec.run ~hooks ~mem ~budget:workload.budget workload.prog
-      | Domain.Code ->
-          (* The interpreter executes the injector's private image
-             directly: a flip mutates the image's instruction arrays in
-             place and is visible from the next fetch. *)
-          let image = Vm.Codeflip.image workload.prog in
-          Injector.bind_code inj ~sites:workload.Workload.code_sites ~image ();
-          Vm.Exec.run ~hooks ~budget:workload.budget image)
-  | Config.Compiled -> (
-      let ev = Injector.events inj in
-      let code =
-        match Injector.domain inj with
-        | Domain.Code ->
-            (* Mutated experiments run on a throwaway fork; each image
-               flip is mirrored as a micro-op patch — the decode-cache
-               invalidation.  The digest-keyed cache only ever holds
-               pristine code. *)
-            let image = Vm.Codeflip.image workload.prog in
-            let fork = Vm.Code.fork workload.code in
-            Injector.bind_code inj ~sites:workload.Workload.code_sites ~image
-              ~apply:(fun ~fidx ~bidx ~idx p ->
-                Vm.Code.patch fork ~fidx ~bidx ~idx p)
-              ();
-            fork
-        | Domain.Reg | Domain.Mem -> workload.code
-      in
-      if checkpoint && Config.checkpointing () then
-        run_checkpointed workload inj ev code
-          (Workload.ensure_checkpoints workload)
-      else
-        match Injector.domain inj with
-        | Domain.Mem ->
-            let mem = Vm.Memory.clone workload.prog.Vm.Program.mem_template in
-            Injector.bind_mem inj ~addrs:workload.Workload.mem_addrs ~mem;
-            Vm.Code.run ~events:ev ~mem ~budget:workload.budget code
-        | Domain.Reg | Domain.Code ->
-            Vm.Code.run ~events:ev ~budget:workload.budget code)
+  let ev = Injector.events inj in
+  let code =
+    match Injector.domain inj with
+    | Domain.Code ->
+        (* Mutated experiments run on a throwaway fork; each image flip
+           is mirrored as a micro-op patch — the decode-cache
+           invalidation.  The digest-keyed cache only ever holds pristine
+           code. *)
+        let image = Vm.Codeflip.image workload.prog in
+        let fork = Vm.Code.fork workload.code in
+        Injector.bind_code inj ~sites:workload.Workload.code_sites ~image
+          ~apply:(fun ~fidx ~bidx ~idx p -> Vm.Code.patch fork ~fidx ~bidx ~idx p)
+          ();
+        fork
+    | Domain.Reg | Domain.Mem -> workload.code
+  in
+  if checkpoint && Config.checkpointing () then
+    run_checkpointed workload inj ev code (Workload.ensure_checkpoints workload)
+  else
+    match Injector.domain inj with
+    | Domain.Mem ->
+        let mem = Vm.Memory.clone workload.prog.Vm.Program.mem_template in
+        Injector.bind_mem inj ~addrs:workload.Workload.mem_addrs ~mem;
+        Vm.Code.run ~events:ev ~mem ~budget:workload.budget code
+    | Domain.Reg | Domain.Code ->
+        Vm.Code.run ~events:ev ~budget:workload.budget code
 
-(* Classification + bookkeeping shared by the one-at-a-time path below
-   and the batched scheduler ([Batch]): both must count and classify
-   identically for results and metrics to be byte-identical across the
-   batch switch. *)
+(* Classification + bookkeeping of a finished faulty run. *)
 let conclude (workload : Workload.t) inj (res : Vm.Exec.result) =
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.incr m_experiments;

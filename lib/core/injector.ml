@@ -338,7 +338,7 @@ let on_dyn t ~dyn _frame _meta =
   | Wait_first target -> if dyn >= target then fire_domain t ~dyn ~first:true
   | Wait_next target -> if dyn >= target then fire_domain t ~dyn ~first:false
 
-(* ---- run-until-event schedule (compiled backend) ---- *)
+(* ---- run-until-event schedule (Vm.Code) ---- *)
 
 let is_reg t = Domain.equal t.spec.Spec.domain Domain.Reg
 

@@ -91,22 +91,23 @@ val bind_code :
   unit ->
   unit
 (** Attach the Code-domain target: the site table (static per workload)
-    and this run's private program image.  The seed backend executes the
-    image directly; the compiled backend additionally passes [apply]
-    (typically {!Vm.Code.patch} on a {!Vm.Code.fork}) to mirror each
-    flip into the decoded micro-ops — its decode-cache invalidation. *)
+    and this run's private program image.  [apply] (typically
+    {!Vm.Code.patch} on a {!Vm.Code.fork}) mirrors each flip into the
+    decoded micro-ops — the decode-cache invalidation; the reference
+    interpreter ({!Vm.Exec}) executes the image directly. *)
 
 val hooks : t -> Vm.Exec.hooks
-(** VM hooks implementing the injection state machine (seed backend):
+(** VM hooks implementing the injection state machine on the reference
+    interpreter ({!Vm.Exec}, which only the differential tests run):
     [pre]/[post] for Reg, the [at] dynamic-stream hook for Mem/Code. *)
 
 val events : t -> Vm.Code.events
-(** The same state machine as a run-until-event schedule for the
-    compiled backend ({!Vm.Code.run}): yields the next target candidate
-    ordinal or dynamic index.  PRNG draws happen in the same order as
-    under {!hooks}, so the two backends produce bit-identical
-    injections.  Use an injector instance with exactly one of
-    [hooks]/[events]. *)
+(** The same state machine as a run-until-event schedule for
+    {!Vm.Code.run}, the VM every experiment runs on: yields the next
+    target candidate ordinal or dynamic index.  PRNG draws happen in the
+    same order as under {!hooks}, so the two interpreters produce
+    bit-identical injections.  Use an injector instance with exactly one
+    of [hooks]/[events]. *)
 
 val first_target : t -> int option
 (** The first flip's scheduled time target, drawn (or forced) at

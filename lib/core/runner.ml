@@ -1,36 +1,22 @@
-type stats = {
-  mutable mem_hits : int;
-  mutable dispatched : int;
-  mutable store_shard_hits : int;
-  mutable shards_executed : int;
-}
-
 type dispatch =
-  stats ->
   keep_experiments:bool ->
-  Workload.t -> Spec.t -> n:int -> seed:int64 -> Campaign.result
+  Workload.t -> Spec.t -> n:int -> seed:int64 ->
+  Campaign.result * Obs.Snapshot.t
 
 type t = {
   n : int;
   seed : int64;
   cache : (string, Campaign.result) Hashtbl.t;
   dispatch : dispatch;
-  stats : stats;
+  mutable snapshot : Obs.Snapshot.t;
 }
 
 let sequential : dispatch =
- fun _stats ~keep_experiments workload spec ~n ~seed ->
-  Campaign.run ~keep_experiments workload spec ~n ~seed
+ fun ~keep_experiments workload spec ~n ~seed ->
+  (Campaign.run ~keep_experiments workload spec ~n ~seed, Obs.Snapshot.zero)
 
 let create ?(n = 200) ?(seed = 20170626L) ?(dispatch = sequential) () =
-  {
-    n;
-    seed;
-    cache = Hashtbl.create 512;
-    dispatch;
-    stats =
-      { mem_hits = 0; dispatched = 0; store_shard_hits = 0; shards_executed = 0 };
-  }
+  { n; seed; cache = Hashtbl.create 512; dispatch; snapshot = Obs.Snapshot.zero }
 
 let n t = t.n
 
@@ -50,39 +36,32 @@ let run_key kept workload_name spec n =
 
 let get t ~kept workload spec =
   let key = run_key kept workload.Workload.name spec t.n in
+  (* The runner counts its own campaign-level delta into the registry;
+     a dispatch's delta is already counted by whoever produced it. *)
+  let own d =
+    Obs.Snapshot.count d;
+    t.snapshot <- Obs.Snapshot.add t.snapshot d
+  in
   match Hashtbl.find_opt t.cache key with
   | Some r ->
-      t.stats.mem_hits <- t.stats.mem_hits + 1;
-      Obs.Snapshot.count { Obs.Snapshot.zero with mem_hits = 1 };
+      own { Obs.Snapshot.zero with mem_hits = 1 };
       r
   | None ->
-      t.stats.dispatched <- t.stats.dispatched + 1;
-      Obs.Snapshot.count { Obs.Snapshot.zero with dispatched = 1 };
+      own { Obs.Snapshot.zero with dispatched = 1 };
       let seed = derived_seed t workload.Workload.name spec in
-      let r =
+      let r, delta =
         let dispatch () =
-          t.dispatch t.stats ~keep_experiments:kept workload spec ~n:t.n ~seed
+          t.dispatch ~keep_experiments:kept workload spec ~n:t.n ~seed
         in
         if Obs.Trace.enabled () then
           Obs.Trace.with_span ("dispatch " ^ key) dispatch
         else dispatch ()
       in
+      t.snapshot <- Obs.Snapshot.add t.snapshot delta;
       Hashtbl.replace t.cache key r;
       r
 
 let campaign t workload spec = get t ~kept:false workload spec
 let campaign_kept t workload spec = get t ~kept:true workload spec
 let cache_size t = Hashtbl.length t.cache
-let cache_stats t = t.stats
-
-let snapshot_of_stats s =
-  {
-    Obs.Snapshot.zero with
-    mem_hits = s.mem_hits;
-    dispatched = s.dispatched;
-    shards_from_store = s.store_shard_hits;
-    shards_executed = s.shards_executed;
-  }
-
-let snapshot t = snapshot_of_stats t.stats
-let pp_stats s = Obs.Snapshot.pp (snapshot_of_stats s)
+let snapshot t = t.snapshot

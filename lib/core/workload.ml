@@ -32,12 +32,7 @@ let make ?(hang_factor = 10) ?expected_output ~name m =
   let block_hook ~fidx ~bidx =
     profile.(fidx).(bidx) <- profile.(fidx).(bidx) + 1
   in
-  let golden =
-    match Config.active_backend () with
-    | Config.Seed -> Vm.Exec.run ~block_hook ~budget:Vm.Exec.golden_budget prog
-    | Config.Compiled ->
-        Vm.Code.run ~block_hook ~budget:Vm.Exec.golden_budget code
-  in
+  let golden = Vm.Code.run ~block_hook ~budget:Vm.Exec.golden_budget code in
   (match golden.status with
   | Finished -> ()
   | Trapped trap ->
@@ -81,12 +76,9 @@ let candidates t (spec : Spec.t) =
    code).  Lazy rather than part of [make] so the recording run — one
    extra instrumented golden execution — is only paid when a checkpointed
    experiment actually runs, and so flipping ONEBIT_CHECKPOINT on after
-   workload creation still works.  [None] when checkpointing is off or
-   the backend is the seed interpreter, which bypass checkpoints
-   entirely. *)
+   workload creation still works.  [None] when checkpointing is off. *)
 let ensure_checkpoints t =
-  if Config.active_backend () <> Config.Compiled || not (Config.checkpointing ())
-  then None
+  if not (Config.checkpointing ()) then None
   else
     Vm.Checkpoint.ensure t.digest ~record:(fun () ->
         let r =

@@ -14,8 +14,8 @@ type t = {
   prog : Vm.Program.t;
   code : Vm.Code.t;
       (** the program's compiled form, decoded once at workload creation
-          (digest-keyed, so repeated loads of the same IR share it) and
-          used by the [Compiled] backend ({!Config.active_backend}) *)
+          (digest-keyed, so repeated loads of the same IR share it); every
+          run of the workload executes it *)
   golden : Vm.Exec.result;
   profile : int array array;
       (** golden-run execution count of each (function, block), indexed
@@ -53,8 +53,7 @@ val ensure_checkpoints : t -> Vm.Checkpoint.set option
 (** The workload's golden-prefix checkpoint set ({!Vm.Checkpoint}),
     recording it on first use — one instrumented golden run per digest,
     process-wide, shared across engine domains.  [None] when
-    checkpointing is disabled ({!Config.checkpointing}) or the active
-    backend is the seed interpreter.  Cheap after the first call
+    checkpointing is disabled ({!Config.checkpointing}).  Cheap after the first call
     (lock-free cache lookup), so callers may invoke it per experiment;
     the engine calls it once up front so worker domains never contend on
     the recording lock. *)

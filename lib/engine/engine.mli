@@ -67,9 +67,9 @@ val dispatch :
   ?store:Store.t ->
   ?progress:Progress.t ->
   unit -> Core.Runner.dispatch
-(** A {!Core.Runner.dispatch} backed by this engine; store hits and
-    executed shards are accounted in the runner's
-    {!Core.Runner.cache_stats}. *)
+(** A {!Core.Runner.dispatch} backed by this engine: each campaign comes
+    back with its {!run_stats}, which the runner folds into
+    {!Core.Runner.snapshot}. *)
 
 val runner :
   ?n:int ->

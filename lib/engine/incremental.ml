@@ -47,12 +47,12 @@ let span_if_tracing name f =
   if Obs.Trace.enabled () then Obs.Trace.with_span name f else f ()
 
 (* Candidate-ordinal -> owning function index, for both techniques, from
-   one instrumented fault-free run on the seed interpreter (its hooks
-   fire once per candidate, carrying the instruction's static identity).
-   The same run also records each read candidate's per-operand-slot
-   equivalence-class weights (Barbosa et al., last-write distance) so a
-   skipped partition's weighted sums can be synthesized without running
-   anything.  Cached per workload digest, like compiled code and
+   one fault-free run per candidate stream ([Vm.Code.each_candidate]
+   fires once per candidate, carrying the instruction's static
+   identity).  The read run also records each read candidate's
+   per-operand-slot equivalence-class weights (Barbosa et al.,
+   last-write distance) so a skipped partition's weighted sums can be
+   synthesized without running anything.  Cached per workload digest, like compiled code and
    checkpoints. *)
 let attribution : (string, int array * int array * int array array) Hashtbl.t =
   Hashtbl.create 8
@@ -70,31 +70,27 @@ let owners (w : Core.Workload.t) =
           let reads = Array.make (max 1 w.golden.read_cands) (-1) in
           let writes = Array.make (max 1 w.golden.write_cands) (-1) in
           let rweights = Array.make (max 1 w.golden.read_cands) [||] in
-          let nr = ref 0 and nw = ref 0 in
-          let hooks =
-            {
-              Vm.Exec.pre =
-                (fun ~dyn (frame : Vm.Exec.frame) (m : Vm.Meta.t) ->
-                  reads.(!nr) <- m.fidx;
-                  rweights.(!nr) <-
-                    Array.map
-                      (fun reg ->
-                        let lw = frame.Vm.Exec.last_write.(reg) in
-                        if lw < 0 then dyn + 1 else max 1 (dyn - lw))
-                      m.srcs;
-                  incr nr);
-              post =
-                (fun ~dyn:_ _ (m : Vm.Meta.t) ->
-                  writes.(!nw) <- m.fidx;
-                  incr nw);
-              at = Vm.Exec.no_hook;
-            }
+          let budget = Vm.Exec.golden_budget in
+          let r =
+            Vm.Code.each_candidate ~watch:`Read ~budget w.code
+              (fun ~dyn ~cand (frame : Vm.Exec.frame) (m : Vm.Meta.t) ->
+                reads.(cand) <- m.fidx;
+                rweights.(cand) <-
+                  Array.map
+                    (fun reg ->
+                      let lw = frame.Vm.Exec.last_write.(reg) in
+                      if lw < 0 then dyn + 1 else max 1 (dyn - lw))
+                    m.srcs)
           in
-          let r = Vm.Exec.run ~hooks ~budget:Vm.Exec.golden_budget w.prog in
+          let r' =
+            Vm.Code.each_candidate ~watch:`Write ~budget w.code
+              (fun ~dyn:_ ~cand _ (m : Vm.Meta.t) -> writes.(cand) <- m.fidx)
+          in
           if
             r.status <> Vm.Exec.Finished
-            || !nr <> w.golden.read_cands
-            || !nw <> w.golden.write_cands
+            || r'.status <> Vm.Exec.Finished
+            || r.read_cands <> w.golden.read_cands
+            || r'.write_cands <> w.golden.write_cands
           then
             invalid_arg
               ("Incremental.owners: attribution run diverged from the \

@@ -37,12 +37,18 @@ type stats = {
 }
 
 val owners_of : Core.Workload.t -> Core.Technique.t -> int array
-(** Candidate-ordinal -> owning function index for a technique, from one
-    instrumented fault-free run (cached per workload digest,
-    process-wide).
+(** Candidate-ordinal -> owning function index for a technique, from a
+    fault-free {!Vm.Code.each_candidate} run of each candidate stream
+    (cached per workload digest, process-wide).
 
     @raise Invalid_argument if the instrumented run diverges from the
     workload's golden run (it cannot, short of a VM bug). *)
+
+val read_weights : Core.Workload.t -> int array array
+(** Per read candidate, the per-source-operand equivalence-class weight
+    (last-write distance, Barbosa et al.) recorded by the same run as
+    {!owners_of} — what a skipped partition's weighted sums are
+    synthesized from. *)
 
 val partition :
   Core.Workload.t -> Core.Spec.t -> n:int -> seed:int64 -> int array array

@@ -1,8 +1,7 @@
 (* Unified runner/engine execution statistics.
 
-   One value type replaces the bespoke mutable records that used to live
-   in Core.Runner (memo-cache hits) and Engine (store/shard accounting).
-   Producers fold deltas into the obs counters below with [count]; [read]
+   One value type for Core.Runner (memo-cache hits, dispatches) and
+   Engine (store/shard accounting).  Producers fold deltas into the obs counters below with [count]; [read]
    recovers the process-wide totals from the default registry, so the
    same numbers are visible in a metrics dump and in code. *)
 

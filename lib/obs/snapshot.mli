@@ -1,6 +1,6 @@
 (** Unified runner/engine execution statistics.
 
-    The single value type behind [Core.Runner.cache_stats] and the
+    The single value type behind [Core.Runner.snapshot] and the
     engine's per-run statistics.  Producers record deltas into the
     default metrics registry with {!count}; {!read} recovers the
     process-wide totals, so code and a metrics dump always agree. *)
@@ -28,5 +28,4 @@ val read : unit -> t
 
 val pp : t -> string
 (** One-line human-readable rendering; experiment totals are printed
-    only when nonzero, so a runner-only snapshot reads exactly like the
-    legacy [Core.Runner.pp_stats] output. *)
+    only when nonzero. *)

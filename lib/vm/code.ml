@@ -20,8 +20,8 @@
    The decode is behaviour-preserving by construction: every micro-op's
    semantics is the specialisation of the corresponding [Exec.step] case
    with the operand resolution and type dispatch hoisted to decode time.
-   The differential suite (test/suite_vm_code.ml) and the CI pipeline
-   smoke hold the two backends bit-identical. *)
+   The differential suites (test/suite_vm_code.ml, test/suite_domain.ml)
+   hold it bit-identical to the reference interpreter [Exec.run]. *)
 
 type events = {
   watch : [ `Read | `Write | `Dyn ];
@@ -100,10 +100,11 @@ type uop =
   (* Generic fallback uops holding a (possibly bit-flipped) source
      instruction, installed by [patch] when the code domain mutates a
      site of a forked copy.  They interpret the IR instruction directly
-     against the frame — semantics shared with the seed interpreter via
-     the Exec.exec_* helpers, so a flipped instruction means exactly the
-     same thing on both backends.  Slow, but a code-domain experiment
-     executes at most [max_mbf] of them per dynamic occurrence. *)
+     against the frame — semantics shared with the reference interpreter
+     via the Exec.exec_* helpers, so a flipped instruction means exactly
+     the same thing on both interpreters.  Slow, but a code-domain
+     experiment executes at most [max_mbf] of them per dynamic
+     occurrence. *)
   | Uinterp of Ir.Instr.t
   | Uinterp_t of Ir.Instr.terminator
 
@@ -432,8 +433,9 @@ let fork t =
 (* Install a mutated instruction (from Codeflip) at its site.  The site
    keeps its original flags/metas: candidate accounting and last_write
    bookkeeping follow the golden program structure while execution
-   follows the flipped instruction, exactly like the seed interpreter
-   running the mutated image (whose metas are also untouched). *)
+   follows the flipped instruction, exactly like the reference
+   interpreter running the mutated image (whose metas are also
+   untouched). *)
 let patch t ~fidx ~bidx ~idx p =
   let cf = t.funcs.(fidx) in
   let off = cf.block_off.(bidx) + idx in
@@ -637,10 +639,11 @@ let no_events =
 
 let to_u64 v = Int64.logand (Int64.of_int v) 0x7FFFFFFFFFFFFFFFL
 
-(* Operand reads for the generic [Uinterp] path.  Register slots 0..nregs-1
-   of a compiled frame hold exactly the seed interpreter's register values
-   (the backends' core bit-identity invariant), so reading a flipped
-   register index out of them matches the seed run on the mutated image. *)
+(* Operand reads for the generic [Uinterp] path.  Register slots
+   0..nregs-1 of a compiled frame hold exactly the reference
+   interpreter's register values (the interpreters' core bit-identity
+   invariant), so reading a flipped register index out of them matches
+   the reference run on the mutated image. *)
 let igeti (frame : Exec.frame) (op : Ir.Instr.operand) =
   match op with
   | Ir.Instr.Reg r -> frame.Exec.ints.(r)
@@ -834,8 +837,8 @@ let exit_probe x fidx frame i d =
     if is_block_start x.code.funcs.(fidx) i then begin
       x.snap <-
         Some
-          (snapshot st x.sh x.out fidx frame i ~pages:(Memory.image x.mem)
-             ~full:false);
+          (snapshot st x.sh x.out fidx frame i
+             ~pages:(Memory.snapshot_pages x.mem) ~full:false);
       x.snap_out <- Buffer.length x.out;
       st.watch_pc <- i;
       st.on_block <- true;
@@ -1347,8 +1350,8 @@ let run_internal ?events ?block_hook ?record ?exits ?mem ?resume ?orig
       end
     done
   (* One mutated instruction, interpreted generically — the mirror of the
-     seed interpreter's [step] over the same (flipped) [Ir.Instr.t], with
-     calls re-entering compiled code. *)
+     reference interpreter's [step] over the same (flipped)
+     [Ir.Instr.t], with calls re-entering compiled code. *)
   and interp_step fidx (frame : Exec.frame) depth i d (ins : Ir.Instr.t) =
     let ints = frame.Exec.ints and flts = frame.Exec.flts in
     match ins with
@@ -1456,7 +1459,7 @@ let run_internal ?events ?block_hook ?record ?exits ?mem ?resume ?orig
      and read-candidate pre-block already happened in the prefix.  The
      call record is read from the PRISTINE code ([orig], when given):
      checkpoints capture pre-flip prefixes, and non-checkpoint execution
-     on both backends destructures the call record at dispatch, so an
+     on both interpreters destructures the call record at dispatch, so an
      in-flight call completes with its original destination even if a
      stored-program flip later patches that slot. *)
   let orig_funcs =
@@ -1564,12 +1567,23 @@ let run_internal ?events ?block_hook ?record ?exits ?mem ?resume ?orig
 let run ?events ?block_hook ?record ?exits ?mem ~budget code =
   run_internal ?events ?block_hook ?record ?exits ?mem ~budget code
 
+(* An event at every candidate of the stream: the handler re-arms the
+   threshold one ordinal past the candidate it just saw. *)
+let each_candidate ~watch ~budget code f =
+  let rec ev =
+    {
+      watch = (watch :> [ `Read | `Write | `Dyn ]);
+      ev_cand = 0;
+      ev_dyn = max_int;
+      handle =
+        (fun ~dyn ~cand frame meta ->
+          f ~dyn ~cand frame meta;
+          ev.ev_cand <- cand + 1);
+    }
+  in
+  run ~events:ev ~budget code
+
 let resume ~events ~mem ~(point : Checkpoint.point) ?orig ?exits ~budget code =
   Checkpoint.note_restore point;
   Memory.restore_pages mem point.ck_pages;
-  run_internal ~events ~mem ~resume:point ?orig ?exits ~budget code
-
-let resume_prepared ~events ~mem ~(point : Checkpoint.point) ?orig ?exits
-    ~budget code =
-  Checkpoint.note_restore point;
   run_internal ~events ~mem ~resume:point ?orig ?exits ~budget code

@@ -18,10 +18,11 @@
     the fast path — this is what golden runs and post-injection execution
     pay.
 
-    Behaviour is bit-identical to the seed interpreter {!Exec.run}: same
-    outputs, statuses, dynamic counts, candidate ordinals, [last_write]
-    contents at every hook, and [block_hook] call sequence.  The
-    differential suite and CI pipeline smoke enforce this. *)
+    This is the VM every run executes on.  Behaviour is bit-identical to
+    the reference interpreter {!Exec.run}: same outputs, statuses,
+    dynamic counts, candidate ordinals, [last_write] contents at every
+    hook, and [block_hook] call sequence.  The differential suites
+    enforce this. *)
 
 type t
 (** Compiled form of a program.  Immutable — except through {!patch} on
@@ -93,6 +94,17 @@ val run :
     returns.  [onebit_vm_instructions_total] counts only the
     instructions executed; {!early_exit_stats} counts the exits. *)
 
+val each_candidate :
+  watch:[ `Read | `Write ] ->
+  budget:int ->
+  t ->
+  (dyn:int -> cand:int -> Exec.frame -> Meta.t -> unit) ->
+  Exec.result
+(** A fault-free {!run} that calls [f] at every candidate of the
+    [watch] stream, in ordinal order ([cand] = 0, 1, ...), at the point
+    the reference interpreter's [pre] ([`Read]) or [post] ([`Write])
+    hook fires, with the same frame contents ([last_write] included). *)
+
 val resume :
   events:events ->
   mem:Memory.t ->
@@ -115,22 +127,6 @@ val resume :
     registers, matching non-checkpoint execution, where the call record
     is destructured at dispatch and thus immune to later patches.
     [exits] is {!run}'s. *)
-
-val resume_prepared :
-  events:events ->
-  mem:Memory.t ->
-  point:Checkpoint.point ->
-  ?orig:t ->
-  ?exits:Checkpoint.set ->
-  budget:int ->
-  t ->
-  Exec.result
-(** {!resume} minus the page restore: the caller has already positioned
-    [mem] at [point]'s memory image ({!Memory.set_baseline} /
-    {!Memory.reset_to_baseline}) — the batch scheduler's entry point,
-    letting one full restore serve a whole group of experiments that
-    share a checkpoint.  Restore-hit accounting ({!Checkpoint.stats})
-    is identical to {!resume}. *)
 
 val fork : t -> t
 (** A private copy whose micro-op arrays may be {!patch}ed — the

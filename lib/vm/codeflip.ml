@@ -17,9 +17,9 @@
    keeps the canonical form the loader established).
 
    Flips mutate a private deep copy ([image]) of the program in place,
-   so consecutive flips of one experiment accumulate and the seed
+   so consecutive flips of one experiment accumulate and the reference
    interpreter can execute the image directly (its instruction arrays
-   are read afresh each block iteration).  The compiled backend mirrors
+   are read afresh each block iteration).  The compiled VM mirrors
    each flip into a {!Code.fork} via the returned patch. *)
 
 let reg_field_width = 8
@@ -276,7 +276,7 @@ type patch =
 
 (* Apply field flip [bit] (site-relative) to the image's *current*
    instruction at [site], so flips accumulate.  Returns the patch for
-   the compiled backend plus the site coordinates.  Raises
+   the compiled VM plus the site coordinates.  Raises
    [Trap.Trap Ill_instr] if the flip is undecodable (the image is left
    unchanged in that case — the run is dead anyway). *)
 let flip s (img : Program.t) ~site ~bit =

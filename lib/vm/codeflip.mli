@@ -53,9 +53,9 @@ val site_coords : sites -> int -> int * int * int
 val image : Program.t -> Program.t
 (** A deep private copy whose instruction arrays and terminator cells
     may be mutated by {!flip}.  Metas, register types, memory template
-    and call targets are shared with the original.  The seed interpreter
-    executes an image directly; the compiled backend mirrors its flips
-    into a {!Code.fork} via the returned patches. *)
+    and call targets are shared with the original.  The reference
+    interpreter executes an image directly; the compiled VM mirrors its
+    flips into a {!Code.fork} via the returned patches. *)
 
 type patch = [ `Instr of Ir.Instr.t | `Term of Ir.Instr.terminator ]
 

@@ -49,7 +49,7 @@ let m_traps =
   List.iteri (fun i t -> assert (Trap.index t = i)) Trap.all;
   arr
 
-(* Shared end-of-run probe for both backends.  [dyn_count] is the run's
+(* Shared end-of-run probe for both interpreters.  [dyn_count] is the run's
    logical length: a checkpoint-resumed run (Code.resume) reports the
    counter it restored plus the suffix it executed, so the instruction
    counter measures campaign work in full-execution-equivalent units

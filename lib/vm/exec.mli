@@ -1,4 +1,11 @@
-(** The execution engine.
+(** The reference interpreter, and the types and instruction semantics
+    shared with the compiled VM.
+
+    Every golden run, experiment and analysis executes on {!Code.run}.
+    [run] here is the tests' reference: a direct, per-instruction
+    interpreter that the differential suites compare {!Code.run}
+    against, bit for bit.  The result, frame and status types and the
+    shared semantics functions below are used by both.
 
     [run] interprets a loaded program deterministically, producing the
     output stream, the dynamic instruction count and the two candidate
@@ -67,12 +74,12 @@ val golden_budget : int
 (** A generous default budget for fault-free runs (100M instructions). *)
 
 val max_call_depth : int
-(** Frame-depth limit shared by both execution backends (1000). *)
+(** Frame-depth limit shared by both interpreters (1000). *)
 
 val record_run : ?skipped:int -> result -> unit
 (** Whole-run observability accounting (runs / instructions / traps /
     hangs).  Called by [run] itself and by the compiled pipeline
-    ({!Code.run}), so the vm_* metrics are backend-independent.
+    ({!Code.run}), so the vm_* metrics mean the same on both.
     [skipped] (default 0) is the part of [dyn_count] an early-exited run
     never executed; the instruction counter leaves it out.  Self-gates
     on [Obs.Metrics.enabled]. *)
@@ -83,7 +90,7 @@ val record_run : ?skipped:int -> result -> unit
     interpreter and by the compiled pipeline's generic fallback uop
     ([Code]'s [Uinterp], which executes code-domain-mutated
     instructions) so a flipped instruction means exactly the same thing
-    on both backends. *)
+    on both interpreters. *)
 
 val exec_binop : Ir.Instr.binop -> Ir.Ty.t -> int -> int -> int
 val exec_fbinop : Ir.Instr.fbinop -> float -> float -> float

@@ -17,17 +17,6 @@ type undo = {
   dirty_flag : Bytes.t; (* one byte per page *)
   mutable dirty : int array; (* stack of dirty page indexes *)
   mutable n_dirty : int;
-  mutable baseline : (int * Bytes.t) array option;
-      (* batch baseline overlay: the installed snapshot, page-indexable
-         through [overlay].  While installed, the dirty set tracks only
-         pages written since the baseline; a plain [reset] rewinds those
-         and the overlay's own pages to the template before dropping the
-         overlay. *)
-  overlay : Bytes.t option array;
-      (* direct-mapped page -> baseline bytes (length = page count); all
-         [None] when no baseline is installed.  An array, not a hash
-         table: [reset_to_baseline] probes it once per dirty page on the
-         batch hot path. *)
   mutable last_diff : int;
       (* page that made the last [matches_image] fail, or -1: compared
          first next time, since a diverged page usually stays diverged *)
@@ -42,14 +31,6 @@ type t = {
 
 let m_pages_reset = Obs.Metrics.counter "onebit_vm_dirty_pages_reset_total"
 let m_restores_full = Obs.Metrics.counter "onebit_vm_restores_full_total"
-let m_resets_undo = Obs.Metrics.counter "onebit_vm_resets_undo_total"
-
-(* Kept unconditionally (plain atomics, no Obs gate) so tests and the
-   bench harness can observe restore amortisation even with metrics
-   collection disabled. *)
-let full_total = Atomic.make 0
-let undo_total = Atomic.make 0
-let restore_stats () = (Atomic.get full_total, Atomic.get undo_total)
 
 let create_template ~size ~regions =
   let arena = Bytes.make size '\000' in
@@ -84,8 +65,6 @@ let with_undo t =
           dirty_flag = Bytes.make npages '\000';
           dirty = Array.make 64 0;
           n_dirty = 0;
-          baseline = None;
-          overlay = Array.make npages None;
           last_diff = -1;
         };
   }
@@ -136,45 +115,19 @@ let reset t =
         Bytes.unsafe_set u.dirty_flag p '\000'
       done;
       if Obs.Metrics.enabled () then Obs.Metrics.add m_pages_reset u.n_dirty;
-      u.n_dirty <- 0;
-      (* Baseline pages are tracked in the overlay, not the dirty set;
-         rewind them to the template too (re-blitting a page that was also
-         dirty is harmless) and drop the overlay. *)
-      match u.baseline with
-      | None -> ()
-      | Some pages ->
-          u.baseline <- None;
-          Array.iter
-            (fun (p, _) ->
-              u.overlay.(p) <- None;
-              let off = p lsl page_bits in
-              Bytes.blit u.template off t.arena off (page_len t p))
-            pages;
-          if Obs.Metrics.enabled () then
-            Obs.Metrics.add m_pages_reset (Array.length pages)
+      u.n_dirty <- 0
 
-(* Copies of the pages that may differ from the template: the dirty set
-   plus, while a baseline is installed, the overlay's pages (which the
-   dirty set does not track); every other page is the template's. *)
-let live_pages t u =
-  let base = match u.baseline with Some b -> Array.map fst b | None -> [||] in
-  Array.append (Array.sub u.dirty 0 u.n_dirty) base
-  |> Array.to_list |> List.sort_uniq compare
-  |> List.map (fun p -> (p, Bytes.sub t.arena (p lsl page_bits) (page_len t p)))
-  |> Array.of_list
-
+(* Copies of the dirty pages, sorted by page index; every other page is
+   the template's. *)
 let snapshot_pages t =
   match t.undo with
   | None -> invalid_arg "Memory.snapshot_pages: not an undo-tracking memory"
   | Some u ->
-      if u.baseline <> None then
-        invalid_arg "Memory.snapshot_pages: baseline overlay installed";
-      live_pages t u
-
-let image t =
-  match t.undo with
-  | None -> invalid_arg "Memory.image: not an undo-tracking memory"
-  | Some u -> live_pages t u
+      Array.sub u.dirty 0 u.n_dirty
+      |> Array.to_list |> List.sort compare
+      |> List.map (fun p ->
+             (p, Bytes.sub t.arena (p lsl page_bits) (page_len t p)))
+      |> Array.of_list
 
 let restore_pages t pages =
   (match t.undo with
@@ -187,46 +140,7 @@ let restore_pages t pages =
       Bytes.blit b 0 t.arena (p lsl page_bits) (Bytes.length b);
       mark_page u p)
     pages;
-  Atomic.incr full_total;
   if Obs.Metrics.enabled () then Obs.Metrics.incr m_restores_full
-
-(* Batch-group entry points: [set_baseline] is a full restore that
-   additionally remembers the snapshot as an overlay and empties the
-   dirty set, so from here on the log records only divergence *from the
-   baseline*; [reset_to_baseline] then reproduces [restore_pages t pages]
-   in O(pages written since the baseline) — each such page is rewound to
-   its overlay image if it belongs to the baseline, to the template
-   otherwise. *)
-let set_baseline t pages =
-  restore_pages t pages;
-  let u = Option.get t.undo in
-  (* The restore marked the baseline pages dirty; forget that — the
-     overlay owns them now, and [reset] knows to rewind them. *)
-  for k = 0 to u.n_dirty - 1 do
-    Bytes.unsafe_set u.dirty_flag (Array.unsafe_get u.dirty k) '\000'
-  done;
-  u.n_dirty <- 0;
-  Array.iter (fun (p, b) -> u.overlay.(p) <- Some b) pages;
-  u.baseline <- Some pages
-
-let reset_to_baseline t =
-  match t.undo with
-  | None -> invalid_arg "Memory.reset_to_baseline: not an undo-tracking memory"
-  | Some u ->
-      if u.baseline = None then
-        invalid_arg "Memory.reset_to_baseline: no baseline installed";
-      for k = 0 to u.n_dirty - 1 do
-        let p = Array.unsafe_get u.dirty k in
-        let off = p lsl page_bits in
-        (match Array.unsafe_get u.overlay p with
-        | Some b -> Bytes.blit b 0 t.arena off (Bytes.length b)
-        | None -> Bytes.blit u.template off t.arena off (page_len t p));
-        Bytes.unsafe_set u.dirty_flag p '\000'
-      done;
-      if Obs.Metrics.enabled () then Obs.Metrics.add m_pages_reset u.n_dirty;
-      u.n_dirty <- 0;
-      Atomic.incr undo_total;
-      if Obs.Metrics.enabled () then Obs.Metrics.incr m_resets_undo
 
 (* ---- whole-image comparison (the VM's early exits) ---- *)
 
@@ -289,15 +203,6 @@ let matches_image t pages =
         if find_page pages p < 0 && not (page_ok t u pages p) then bad := p;
         incr k
       done;
-      (match u.baseline with
-      | None -> ()
-      | Some base ->
-          k := 0;
-          while !bad < 0 && !k < Array.length base do
-            let p = fst (Array.unsafe_get base !k) in
-            if find_page pages p < 0 && not (page_ok t u pages p) then bad := p;
-            incr k
-          done);
       if !bad >= 0 then begin
         u.last_diff <- !bad;
         false

@@ -38,9 +38,7 @@ val reset : t -> unit
 (** Rewind every dirty page to the template image and clear the dirty
     set.  Exact regardless of how the previous run ended (normal end,
     trap mid-run, hang): never-written pages already equal the template.
-    If a baseline overlay is installed, its pages are rewound to the
-    template too and the overlay is dropped.  Raises [Invalid_argument]
-    on a memory without undo tracking. *)
+    Raises [Invalid_argument] on a memory without undo tracking. *)
 
 val snapshot_pages : t -> (int * bytes) array
 (** Copies of the currently dirty pages, sorted by page index.  Together
@@ -49,47 +47,16 @@ val snapshot_pages : t -> (int * bytes) array
 
 val restore_pages : t -> (int * bytes) array -> unit
 (** [reset] followed by blitting the snapshot pages back in (re-marking
-    them dirty, so a later [reset] rewinds them too).  Counted as a
-    {e full} restore in {!restore_stats}. *)
-
-val set_baseline : t -> (int * bytes) array -> unit
-(** Like {!restore_pages}, but additionally installs the snapshot as the
-    memory's {e baseline overlay} — the shared restore point of a batch
-    group — and empties the dirty set, so the undo log tracks only pages
-    written {e since} the baseline.  Subsequent {!reset_to_baseline}
-    calls rewind to this image in O(pages written since the baseline)
-    without touching the snapshot again.  The overlay is
-    dropped by the next {!reset}, {!restore_pages} or {!set_baseline};
-    while installed, {!snapshot_pages} is refused (recording and batch
-    execution never share a memory). *)
-
-val reset_to_baseline : t -> unit
-(** Rewind every dirty page to the baseline image — overlay bytes for
-    baseline pages, template bytes for the rest — leaving the arena
-    byte-for-byte as {!restore_pages} with the baseline snapshot would,
-    at undo-log cost.  This is the intra-group step between batch
-    members.  Raises [Invalid_argument] if no baseline is installed. *)
-
-val image : t -> (int * bytes) array
-(** Copies of every page that may differ from the template — the dirty
-    set plus, while a baseline is installed, the baseline's pages —
-    sorted by page index.  Like {!snapshot_pages}, but valid under a
-    baseline overlay: with the template it is the complete arena. *)
+    them dirty, so a later [reset] rewinds them too).  Counted by
+    [onebit_vm_restores_full_total]. *)
 
 val matches_image : t -> (int * bytes) array -> bool
 (** Whether the arena equals, byte for byte, the template overlaid with
-    [pages] (sorted by page index, as {!snapshot_pages} and {!image}
-    return them).  Compares the image's pages and every dirty or
-    baseline page, so the cost is O(those pages), not O(arena); the page
-    that failed the previous call is compared first.  Raises
-    [Invalid_argument] on a memory without undo tracking. *)
-
-val restore_stats : unit -> int * int
-(** [(full, undo)] — process-wide counts of full page-restores
-    ({!restore_pages} / {!set_baseline}) and O(dirty) baseline resets
-    ({!reset_to_baseline}) since process start; counted even when metrics
-    collection is disabled.  The Obs mirrors are
-    [onebit_vm_restores_full_total] and [onebit_vm_resets_undo_total]. *)
+    [pages] (sorted by page index, as {!snapshot_pages} returns them).
+    Compares the image's pages and every dirty page, so the cost is
+    O(those pages), not O(arena); the page that failed the previous call
+    is compared first.  Raises [Invalid_argument] on a memory without
+    undo tracking. *)
 
 val size : t -> int
 

@@ -312,6 +312,44 @@ let test_select () =
                     (pts.(0).ck_rc > target))
             [ 0; 1; 49; 50; 51; 1000; max_int ])
 
+(* A record from a checkpointed campaign reproduces field for field
+   through the full-execution replay path — what `onebit reproduce` runs
+   regardless of ONEBIT_CHECKPOINT — in every fault domain. *)
+let test_reproduce_from_record () =
+  List.iter
+    (fun domain ->
+      let w = registry_workload "crc32" in
+      let spec = Core.Spec.multi ~domain Write ~max_mbf:3 ~win:(Fixed 10) in
+      let n = 30 and seed = 13L in
+      let r =
+        with_checkpoint ~interval:64 true (fun () ->
+            Core.Campaign.run ~keep_experiments:true w spec ~n ~seed)
+      in
+      List.iter
+        (fun index ->
+          let stored = r.Core.Campaign.experiments.(index) in
+          let inj =
+            Core.Injector.create ~spec
+              ~candidates:(Core.Workload.candidates w spec)
+              (Prng.split_at (Prng.of_seed seed) index)
+          in
+          let res = Core.Experiment.run_raw ~checkpoint:false w inj in
+          let outcome =
+            Core.Outcome.classify ~golden_output:w.golden.output res
+          in
+          let what = Printf.sprintf "%s #%d" (Core.Spec.label spec) index in
+          Alcotest.(check bool) (what ^ " outcome") true
+            (stored.outcome = outcome);
+          Alcotest.(check int) (what ^ " activated") stored.activated
+            (Core.Injector.activated inj);
+          Alcotest.(check int) (what ^ " dyn") stored.dyn_count res.dyn_count;
+          Alcotest.(check string) (what ^ " output") stored.output res.output;
+          Alcotest.(check bool) (what ^ " first injection") true
+            (Option.equal injection_equal stored.first
+               (Core.Injector.first_injection inj)))
+        [ 0; 7; 19; 29 ])
+    Core.Domain.all
+
 let suites =
   [
     ( "checkpoint",
@@ -327,5 +365,7 @@ let suites =
         Alcotest.test_case "working memory after traps" `Quick
           test_working_memory_after_traps;
         Alcotest.test_case "point selection" `Quick test_select;
+        Alcotest.test_case "reproduce from checkpointed record" `Quick
+          test_reproduce_from_record;
       ] );
   ]

@@ -1,8 +1,8 @@
 (* Fault-domain tests: the Mem (live arena byte) and Code (stored
-   program) domains must behave identically on both execution backends,
-   across worker counts and checkpointing, and their store/CSV encoding
-   must stay readable by — and byte-compatible with — the pre-domain
-   register-only format. *)
+   program) domains must behave identically on the reference interpreter
+   and the compiled VM, across worker counts and checkpointing, and their
+   store/CSV encoding must stay readable by — and byte-compatible with —
+   the pre-domain register-only format. *)
 
 let injection_equal (a : Core.Injector.injection) (b : Core.Injector.injection)
     =
@@ -33,42 +33,35 @@ let domain_specs domain =
     Core.Spec.multi ~domain Read ~max_mbf:4 ~win:(Rnd (2, 50));
   ]
 
-(* One experiment, same (spec, seed, index), through the seed
-   interpreter and the compiled micro-op VM via [Experiment.run_raw]
-   (which owns the per-domain target binding): runs and full injection
-   logs must be bit-identical. *)
+(* One experiment, same (spec, seed, index), through the reference
+   interpreter ([Thelpers.seed_run]) and the compiled micro-op VM via
+   [Experiment.run_raw] (each owning the per-domain target binding):
+   runs and full injection logs must be bit-identical. *)
 let check_backend_pair w spec ~base i =
-  let saved = Core.Config.active_backend () in
-  Fun.protect
-    ~finally:(fun () -> Core.Config.set_backend saved)
-    (fun () ->
-      let run backend =
-        Core.Config.set_backend backend;
-        let inj =
-          Core.Injector.create ~spec
-            ~candidates:(Core.Workload.candidates w spec)
-            (Prng.split_at base i)
-        in
-        let r = Core.Experiment.run_raw ~checkpoint:false w inj in
-        (r, Core.Injector.injections inj, Core.Injector.activated inj)
-      in
-      let r_s, log_s, act_s = run Core.Config.Seed in
-      let r_c, log_c, act_c = run Core.Config.Compiled in
-      let label = Printf.sprintf "%s #%d" (Core.Spec.label spec) i in
-      result_equal label r_s r_c;
-      Alcotest.(check int) (label ^ " activated") act_s act_c;
-      Alcotest.(check int) (label ^ " log length") (List.length log_s)
-        (List.length log_c);
-      List.iter2
-        (fun a b ->
-          Alcotest.(check bool) (label ^ " injection") true
-            (injection_equal a b);
-          Alcotest.(check bool)
-            (label ^ " domain tag")
-            true
-            (Core.Domain.equal a.Core.Injector.inj_domain
-               spec.Core.Spec.domain))
-        log_s log_c)
+  let run exec =
+    let inj =
+      Core.Injector.create ~spec
+        ~candidates:(Core.Workload.candidates w spec)
+        (Prng.split_at base i)
+    in
+    let r = exec w inj in
+    (r, Core.Injector.injections inj, Core.Injector.activated inj)
+  in
+  let r_s, log_s, act_s = run Thelpers.seed_run in
+  let r_c, log_c, act_c = run (Core.Experiment.run_raw ~checkpoint:false) in
+  let label = Printf.sprintf "%s #%d" (Core.Spec.label spec) i in
+  result_equal label r_s r_c;
+  Alcotest.(check int) (label ^ " activated") act_s act_c;
+  Alcotest.(check int) (label ^ " log length") (List.length log_s)
+    (List.length log_c);
+  List.iter2
+    (fun a b ->
+      Alcotest.(check bool) (label ^ " injection") true (injection_equal a b);
+      Alcotest.(check bool)
+        (label ^ " domain tag")
+        true
+        (Core.Domain.equal a.Core.Injector.inj_domain spec.Core.Spec.domain))
+    log_s log_c
 
 let test_backend_differential domain () =
   let w = Lazy.force workload in

@@ -2,8 +2,7 @@
    back to the golden run, exact hang cycles).  With checkpointing on —
    the default, which enables the exits — every experiment must return
    the same Exec.result, injection log and Experiment.t as
-   [~checkpoint:false] full execution, one at a time and batched, in
-   every fault domain.  Pinned programs hold the edge cases: output that
+   [~checkpoint:false] full execution, in every fault domain.  Pinned programs hold the edge cases: output that
    diverged before the state converged, a runaway counter that never
    repeats, and a cycle that must still report the watchdog's counts. *)
 
@@ -16,11 +15,6 @@ let with_checkpoint ?interval on f =
   Fun.protect
     ~finally:(fun () -> Core.Config.set_checkpoint ~interval:saved_k saved_on)
     f
-
-let with_batch on f =
-  let saved = Core.Config.batching () in
-  Core.Config.set_batch on;
-  Fun.protect ~finally:(fun () -> Core.Config.set_batch saved) f
 
 let injection_equal (a : Core.Injector.injection) (b : Core.Injector.injection)
     =
@@ -61,39 +55,19 @@ let run_one ~checkpoint w spec ?first rng =
   let res = Core.Experiment.run_raw ~checkpoint w inj in
   (res, Core.Experiment.conclude w inj res, Core.Injector.injections inj)
 
-(* Exits on (one at a time, and batched) against [~checkpoint:false] for
-   indices [0, n) of one cell; [false] on the first difference. *)
+(* Exits on against [~checkpoint:false] for indices [0, n) of one cell;
+   [false] on the first difference. *)
 let cell_agrees w spec ~seed ~n =
   let base = Prng.of_seed seed in
-  let indices = Array.init n (fun i -> i) in
-  let oracle =
-    Array.map
-      (fun i -> run_one ~checkpoint:false w spec (Prng.split_at base i))
-      indices
-  in
-  let single =
-    with_batch false (fun () ->
-        Array.map
-          (fun i -> run_one ~checkpoint:true w spec (Prng.split_at base i))
-          indices)
-  in
-  let batched =
-    with_batch true (fun () ->
-        Core.Batch.run_indices_logged w spec ~seed ~indices)
-  in
-  Array.for_all2
-    (fun (r0, e0, l0) (r1, e1, l1) ->
+  List.for_all
+    (fun i ->
+      let r0, e0, l0 =
+        run_one ~checkpoint:false w spec (Prng.split_at base i)
+      in
+      let r1, e1, l1 = run_one ~checkpoint:true w spec (Prng.split_at base i) in
       result_equal r0 r1 && experiment_equal e0 e1
       && List.equal injection_equal l0 l1)
-    oracle single
-  &&
-  match batched with
-  | None -> false
-  | Some b ->
-      Array.for_all2
-        (fun (_, e0, l0) (e1, l1) ->
-          experiment_equal e0 e1 && List.equal injection_equal l0 l1)
-        oracle b
+    (List.init n Fun.id)
 
 let matrix_specs =
   let open Core in
@@ -109,7 +83,7 @@ let matrix_specs =
   ]
 
 (* nn, dijkstra, stringsearch and qsort x reg read/write, mem, code x
-   single and m=3 x batching off/on. *)
+   single and m=3. *)
 let test_registry_matrix () =
   with_checkpoint true (fun () ->
       List.iter

@@ -492,6 +492,52 @@ let prop_incremental_equals_full =
           && Core.Campaign.equal_result r2 full
           && s2.exps_reused = n))
 
+(* The attribution run and the prune-static metas read the candidate
+   streams through [Vm.Code.each_candidate]; they must equal what the
+   reference interpreter's hooks record — owners, last-write read
+   weights and static identities, candidate for candidate. *)
+let test_streams_match_reference () =
+  List.iter
+    (fun name ->
+      let d = Option.get (Bench_suite.Registry.find name) in
+      let w =
+        Core.Workload.make ~name ~expected_output:(d.reference ()) (d.build ())
+      in
+      let reads = ref [] and writes = ref [] and weights = ref [] in
+      let hooks =
+        {
+          Vm.Exec.pre =
+            (fun ~dyn (frame : Vm.Exec.frame) (m : Vm.Meta.t) ->
+              reads := m :: !reads;
+              weights :=
+                Array.map
+                  (fun reg ->
+                    let lw = frame.last_write.(reg) in
+                    if lw < 0 then dyn + 1 else max 1 (dyn - lw))
+                  m.srcs
+                :: !weights);
+          post = (fun ~dyn:_ _ m -> writes := m :: !writes);
+          at = Vm.Exec.no_hook;
+        }
+      in
+      ignore (Vm.Exec.run ~hooks ~budget:w.budget w.prog);
+      let arr l = Array.of_list (List.rev l) in
+      let reads = arr !reads and writes = arr !writes in
+      let fidx = Array.map (fun (m : Vm.Meta.t) -> m.fidx) in
+      Alcotest.(check (array int))
+        (name ^ " read owners") (fidx reads)
+        (Engine.Incremental.owners_of w Read);
+      Alcotest.(check (array int))
+        (name ^ " write owners") (fidx writes)
+        (Engine.Incremental.owners_of w Write);
+      Alcotest.(check (array (array int)))
+        (name ^ " read weights") (arr !weights)
+        (Engine.Incremental.read_weights w);
+      let mr, mw = Analysis.Prune_static.collect_metas w in
+      Alcotest.(check bool) (name ^ " read metas") true (reads = mr);
+      Alcotest.(check bool) (name ^ " write metas") true (writes = mw))
+    [ "crc32"; "qsort"; "nn" ]
+
 let suites =
   [
     ( "incremental",
@@ -510,6 +556,8 @@ let suites =
           test_lint_registry_clean_interproc;
         Alcotest.test_case "partition tiles the campaign" `Quick
           test_partition_tiles;
+        Alcotest.test_case "candidate streams match the reference" `Quick
+          test_streams_match_reference;
         Alcotest.test_case "incremental == full (cold + warm)" `Slow
           test_incremental_equals_full;
         Alcotest.test_case "label edit re-runs only that function" `Slow

@@ -1,8 +1,8 @@
 (* Differential tests for the compiled execution pipeline (Vm.Code): the
-   decode-once micro-op VM must be bit-identical to the seed interpreter
-   (Vm.Exec) on golden runs, under fault injection, and across whole
-   campaigns — same outputs, statuses, dynamic counts, candidate
-   ordinals and injection logs. *)
+   decode-once micro-op VM must be bit-identical to the reference
+   interpreter (Vm.Exec) on golden runs, under fault injection, and
+   across whole campaigns — same outputs, statuses, dynamic counts,
+   candidate ordinals and injection logs. *)
 
 let golden_equal name (a : Vm.Exec.result) (b : Vm.Exec.result) =
   Alcotest.(check bool) (name ^ " status") true (a.status = b.status);
@@ -160,32 +160,139 @@ let test_experiments_differential () =
         [ `Faulty; `Golden ])
     specs
 
-(* Whole campaigns through the backend switch: results (counters, trap
-   breakdown, activation histogram, per-experiment records) must be
-   equal. *)
+(* Whole campaigns on the compiled VM (checkpointing at its default):
+   every kept experiment must equal the reference interpreter's run of
+   the same (seed, index) — outcome, activation count, dynamic length,
+   output and first injection. *)
 let test_campaign_differential () =
   let w = Lazy.force workload in
-  let saved = Core.Config.active_backend () in
-  Fun.protect
-    ~finally:(fun () -> Core.Config.set_backend saved)
-    (fun () ->
-      List.iter
-        (fun spec ->
-          let run b =
-            Core.Config.set_backend b;
-            Core.Campaign.run ~keep_experiments:true w spec ~n:60 ~seed:99L
+  let n = 60 and seed = 99L in
+  List.iter
+    (fun spec ->
+      let r = Core.Campaign.run ~keep_experiments:true w spec ~n ~seed in
+      Alcotest.(check int) "kept experiments" n
+        (Array.length r.Core.Campaign.experiments);
+      let base = Prng.of_seed seed in
+      Array.iteri
+        (fun i (e : Core.Experiment.t) ->
+          let inj =
+            Core.Injector.create ~spec
+              ~candidates:(Core.Workload.candidates w spec)
+              (Prng.split_at base i)
           in
-          let a = run Core.Config.Seed in
-          let b = run Core.Config.Compiled in
+          let s = Core.Experiment.conclude w inj (Thelpers.seed_run w inj) in
+          let label = Printf.sprintf "%s #%d" (Core.Spec.label spec) i in
           Alcotest.(check bool)
-            (Core.Spec.label spec ^ " campaign equal")
+            (label ^ " outcome") true (s.outcome = e.outcome);
+          Alcotest.(check int) (label ^ " activated") s.activated e.activated;
+          Alcotest.(check int) (label ^ " dyn") s.dyn_count e.dyn_count;
+          Alcotest.(check string) (label ^ " output") s.output e.output;
+          Alcotest.(check bool)
+            (label ^ " first injection")
             true
-            (Core.Campaign.equal_result a b))
-        [
-          Core.Spec.single Read;
-          Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 10);
-          Core.Spec.multi Read ~max_mbf:5 ~win:(Rnd (2, 10));
-        ])
+            (Option.equal injection_equal s.first e.first))
+        r.experiments)
+    [
+      Core.Spec.single Read;
+      Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 10);
+      Core.Spec.multi Read ~max_mbf:5 ~win:(Rnd (2, 10));
+    ]
+
+(* A campaign on the reference interpreter: every experiment through
+   [Thelpers.seed_run], folded into a result the way [Campaign] folds
+   its shards. *)
+let seed_campaign w spec ~n ~seed =
+  let base = Prng.of_seed seed in
+  let exps =
+    Array.init n (fun i ->
+        let inj =
+          Core.Injector.create ~spec
+            ~candidates:(Core.Workload.candidates w spec)
+            (Prng.split_at base i)
+        in
+        Core.Experiment.conclude w inj (Thelpers.seed_run w inj))
+  in
+  let count f =
+    Array.fold_left
+      (fun k (e : Core.Experiment.t) -> if f e then k + 1 else k)
+      0 exps
+  in
+  let outcome o (e : Core.Experiment.t) = e.outcome = o in
+  let traps = Hashtbl.create 8 and activation = Stats.Histogram.create () in
+  let wsdc = ref 0.0 and wtotal = ref 0.0 in
+  Array.iter
+    (fun (e : Core.Experiment.t) ->
+      (match e.outcome with
+      | Detected t ->
+          Hashtbl.replace traps t
+            (1 + Option.value ~default:0 (Hashtbl.find_opt traps t))
+      | _ -> ());
+      Stats.Histogram.add activation e.activated;
+      match e.first with
+      | Some j ->
+          let wt = float_of_int j.inj_weight in
+          wtotal := !wtotal +. wt;
+          if Core.Outcome.is_sdc e.outcome then wsdc := !wsdc +. wt
+      | None -> ())
+    exps;
+  let profile =
+    {
+      Core.Campaign.p_exps = n;
+      p_benign = count (outcome Benign);
+      p_detected =
+        count (fun e -> match e.outcome with Detected _ -> true | _ -> false);
+      p_hang = count (outcome Hang);
+      p_no_output = count (outcome No_output);
+      p_sdc = count (outcome Sdc);
+      p_traps = List.sort compare (List.of_seq (Hashtbl.to_seq traps));
+      p_activation = Stats.Histogram.to_alist activation;
+      p_weighted_sdc = !wsdc;
+      p_weighted_total = !wtotal;
+    }
+  in
+  ( Core.Campaign.result_of_profiles ~workload_name:w.Core.Workload.name spec
+      ~n ~seed [ profile ],
+    exps )
+
+(* The CLI cells of the seed-vs-compiled pipeline check: crc32 and qsort
+   at [-t read -m 3 -w 10 -n 40] on the reference interpreter and on the
+   engine at jobs = 4 (shards of 5) must give the same CSV row and the
+   same result, and the crc32 [-t write] replay of experiment 3 must
+   match the engine's record of it. *)
+let test_pipeline_cells () =
+  let seed = 20170626L and n = 40 in
+  let load name =
+    let d = Option.get (Bench_suite.Registry.find name) in
+    Core.Workload.make ~name ~expected_output:(d.reference ()) (d.build ())
+  in
+  List.iter
+    (fun name ->
+      let w = load name in
+      let spec = Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 10) in
+      let reference, _ = seed_campaign w spec ~n ~seed in
+      let engine =
+        Engine.run_campaign ~jobs:4 ~shard_size:5 w spec ~n ~seed
+      in
+      Alcotest.(check string)
+        (name ^ " CSV row") (Core.Csv.row reference) (Core.Csv.row engine);
+      Alcotest.(check bool)
+        (name ^ " result") true
+        (Core.Campaign.equal_result reference engine))
+    [ "crc32"; "qsort" ];
+  let w = load "crc32" in
+  let spec = Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 10) in
+  let _, exps = seed_campaign w spec ~n ~seed in
+  let engine =
+    Engine.run_campaign ~jobs:4 ~shard_size:5 ~keep_experiments:true w spec
+      ~n ~seed
+  in
+  let s = exps.(3) and e = engine.experiments.(3) in
+  Alcotest.(check bool) "replay outcome" true (s.outcome = e.outcome);
+  Alcotest.(check int) "replay activated" s.activated e.activated;
+  Alcotest.(check int) "replay dyn" s.dyn_count e.dyn_count;
+  Alcotest.(check string) "replay output" s.output e.output;
+  Alcotest.(check bool) "replay first injection" true
+    (Option.equal injection_equal s.first e.first)
 
 (* ---- decode cache ---- *)
 
@@ -218,6 +325,8 @@ let suites =
           test_experiments_differential;
         Alcotest.test_case "campaign differential" `Quick
           test_campaign_differential;
+        Alcotest.test_case "pipeline CLI cells: reference vs engine" `Quick
+          test_pipeline_cells;
         Alcotest.test_case "decode cache" `Quick test_decode_cache;
       ] );
   ]
