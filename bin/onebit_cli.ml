@@ -591,7 +591,18 @@ let run_ir_cmd =
           Printf.eprintf "%s: %s\n" file msg;
           exit 1
     in
-    let w = Core.Workload.make ~name:(Filename.basename file) m in
+    let name = Filename.basename file in
+    let w =
+      (* A golden run that traps or hangs is the input's fault: one line
+         naming the file, not an uncaught exception. *)
+      let prefix = "Workload.make: " ^ name ^ " " in
+      try Core.Workload.make ~name m
+      with Invalid_argument msg when String.starts_with ~prefix msg ->
+        let n = String.length prefix in
+        Printf.eprintf "%s: %s\n" file
+          (String.sub msg n (String.length msg - n));
+        exit 2
+    in
     if not csv then
       Printf.printf
         "golden: %d dynamic instructions, %d output bytes, %d/%d candidates \

@@ -10,12 +10,14 @@
    arrays.  The per-site candidate metadata ({!Meta.t}) and packed
    candidate flags ride alongside each micro-op.
 
-   [run] is an event-driven loop: the fast path pays one flags load and
-   at most one integer compare per candidate instruction; the hooked slow
-   path (the fault injector) is entered only when the scheduled event
-   threshold is crossed, after which execution resumes at full speed.
-   Golden runs and post-final-flip execution see thresholds of [max_int]
-   and never leave the fast path.
+   [run] is an event-driven loop over straight-line segments: a segment
+   in which no event can fire and no threshold falls runs with no
+   per-instruction accounting, its counters advanced at its end by
+   per-function prefix sums of the candidate flags.  The hooked slow
+   path (the fault injector) is entered only at a scheduled event, met
+   one instruction at a time.  Golden runs and post-final-flip
+   execution see thresholds of [max_int] and run almost wholly in
+   segments.
 
    The decode is behaviour-preserving by construction: every micro-op's
    semantics is the specialisation of the corresponding [Exec.step] case
@@ -122,6 +124,12 @@ type cfunc = {
   reg_ty : Ir.Ty.t array; (* the real registers only *)
   site_reads : int array; (* per block: static read-candidate sites *)
   site_writes : int array;
+  seg_len : int array;
+      (* per-uop: the length of the segment starting there, up to and
+         including the next call, terminator or abort *)
+  rc_pre : int array;
+      (* [rc_pre.(k)]: read candidates among uops 0..k-1 (length n+1) *)
+  wc_pre : int array; (* the same for write candidates *)
 }
 
 type t = {
@@ -348,6 +356,22 @@ let compile_func (p : Program.t) (f : Program.lfunc) : cfunc =
         if wr <> 0 then site_writes.(b) <- site_writes.(b) + 1
       done)
     f.blocks;
+  (* Segment tables: every block ends in a jump, return or abort, so a
+     segment never crosses a block end. *)
+  let ends_segment = function
+    | Ucall _ | Ujmp _ | Ucbr _ | Uret | Uret_i _ | Uret_f _ | Uabort -> true
+    | _ -> false
+  in
+  let seg_len = Array.make !total 1 in
+  for k = !total - 2 downto 0 do
+    if not (ends_segment uops.(k)) then seg_len.(k) <- seg_len.(k + 1) + 1
+  done;
+  let rc_pre = Array.make (!total + 1) 0 in
+  let wc_pre = Array.make (!total + 1) 0 in
+  for k = 0 to !total - 1 do
+    rc_pre.(k + 1) <- rc_pre.(k) + (flags.(k) land 1);
+    wc_pre.(k + 1) <- wc_pre.(k) + ((flags.(k) lsr 1) land 1)
+  done;
   let nslots = !next in
   let int_init = Array.make nslots 0 in
   let flt_init = Array.make nslots 0.0 in
@@ -365,6 +389,9 @@ let compile_func (p : Program.t) (f : Program.lfunc) : cfunc =
     reg_ty = f.reg_ty;
     site_reads;
     site_writes;
+    seg_len;
+    rc_pre;
+    wc_pre;
   }
 
 (* ---- decode cache ---- *)
@@ -419,8 +446,9 @@ let site_writes t = Array.map (fun cf -> Array.copy cf.site_writes) t.funcs
 (* ---- code-domain mutation ---- *)
 
 (* A private copy whose uop arrays may be patched: the decode-cache
-   invalidation analog.  Everything else (flags, metas, inits, source)
-   is immutable and shared, so a fork costs one array copy per function.
+   invalidation analog.  Everything else (flags, metas, segment tables,
+   inits, source) is immutable and shared, so a fork costs one array copy
+   per function.
    The digest-keyed cache only ever holds pristine code — forks are
    created per experiment and dropped. *)
 let fork t =
@@ -435,7 +463,9 @@ let fork t =
    bookkeeping follow the golden program structure while execution
    follows the flipped instruction, exactly like the reference
    interpreter running the mutated image (whose metas are also
-   untouched). *)
+   untouched).  [seg_len] stays the pristine one: a patched site closes
+   the segment it lies in when it runs, so the pristine length is an
+   upper bound on the segment actually run. *)
 let patch t ~fidx ~bidx ~idx p =
   let cf = t.funcs.(fidx) in
   let off = cf.block_off.(bidx) + idx in
@@ -446,6 +476,11 @@ let patch t ~fidx ~bidx ~idx p =
 
 exception Hang_exn
 exception Converge_exn
+
+(* Instructions run inside segments, with no per-instruction accounting:
+   added once per run, from [rstate.seg_instrs]. *)
+let m_segment_instrs =
+  Obs.Metrics.counter "onebit_vm_segment_instructions_total"
 
 type rstate = {
   mutable dyn : int;
@@ -458,19 +493,46 @@ type rstate = {
          recorder's capture test, or the early exits' checkpoint compare
          and cycle snapshots; max_int = never *)
   mutable limit : int;
-      (* [min probe budget]: the loop's one per-instruction test covers
-         the probe and the watchdog *)
+      (* [min probe budget]: segments end at or below it, and the
+         per-instruction path's one test covers the probe and the
+         watchdog *)
   mutable on_block : bool;
       (* jumps look further: the block hook, or a watched cycle snapshot *)
   mutable watch_pc : int;
       (* a jump to this pc compares the state with the cycle snapshot;
          -1 = none *)
+  mutable lw_on : bool;
+      (* segments keep last_write: a recorder captures it, or an event,
+         which may read it, is pending *)
+  mutable seg_instrs : int; (* instructions run inside segments *)
+  mutable trap_pc : int;
+      (* the pc of the last straight-line uop that could trap, recorded
+         before it runs: where a trap inside a segment happened *)
   budget : int;
 }
 
 let rearm st probe =
   st.probe <- probe;
   st.limit <- min probe st.budget
+
+(* Account for uops [s..i] of [cf], run as one segment, exactly as the
+   per-instruction path would have by uop [i]'s write post-block: every
+   uop's dyn increment and read candidate, and the write candidates of
+   [s..i-1].  At the segment's end (a call, jump, return or patched
+   site) that post-block then runs as usual; when uop [i] trapped it
+   never runs. *)
+let[@inline] account_segment st cf s i =
+  let n = i + 1 - s in
+  st.dyn <- st.dyn + n;
+  st.rc <-
+    st.rc + Array.unsafe_get cf.rc_pre (i + 1) - Array.unsafe_get cf.rc_pre s;
+  st.wc <- st.wc + Array.unsafe_get cf.wc_pre i - Array.unsafe_get cf.wc_pre s;
+  st.seg_instrs <- st.seg_instrs + n
+
+(* Trap [t] at straight-line uop [i]. *)
+let trap_at st i t =
+  st.trap_pc <- i;
+  raise (Trap.Trap t)
 
 (* The shadow call stack: one entry per in-progress call, outermost
    first — the calling function, its frame, the call's pc and dynamic
@@ -874,9 +936,25 @@ let cycle_entry x fidx frame pc =
 
 (* The one interpreter loop behind [run] and [resume].
 
-   The top of the loop pays one threshold compare, [dyn >= st.limit],
-   for the watchdog and both of the slow paths below; [rearm] moves the
-   threshold.
+   Segments.  The loop runs a function's code a segment at a time: from
+   the pc to the next call, jump, return or abort ([seg_len]), or to a
+   patched site.  A segment's straight-line uops run back to back with
+   no per-instruction accounting ([straight]) when it ends at or below
+   [st.limit] and no event can fire inside it — its dyns stay below
+   [ev_dyn] and its watched candidates below [ev_cand].  At its end
+   [dyn] advances by its length and [rc]/[wc] by the prefix sums of the
+   candidate flags, and [last_write] is brought up to date when a reader
+   is left ([st.lw_on]: a recorder, or a pending event).  Its last uop
+   then runs with its write post-block as usual.  A trap inside a
+   segment rebuilds the exact counters from the trapping pc
+   ([st.trap_pc]): its read candidate counts, its write does not.
+   Otherwise the loop runs one instruction with per-instruction
+   accounting: the threshold, the dyn increment, the candidate blocks
+   and the events.  So every threshold and event is met at its exact
+   dyn, and every counter is exact wherever it is read.
+
+   The threshold, [dyn >= st.limit], covers the watchdog and both of
+   the slow paths below; [rearm] moves it.
 
    Recording ([record]): a golden run additionally maintains the shadow
    call stack and, at the top of the loop whenever a candidate-ordinal
@@ -885,7 +963,8 @@ let cycle_entry x fidx frame pc =
    point is valid for both the read and the write ordinal axis.  Each
    instruction moves rc and wc by at most one, so the capture test can
    first hold [min (next_rc - rc) (next_wc - wc)] instructions later:
-   probing there instead of every instruction captures the same points.
+   probing there instead of every instruction captures the same points,
+   and segments run up to it.
 
    Early exits ([exits], the golden checkpoint set): once no injector
    event is pending — the last flip has fired — the run may stop early
@@ -926,6 +1005,9 @@ let run_internal ?events ?block_hook ?record ?exits ?mem ?resume ?orig
       limit = budget;
       on_block = Option.is_some block_hook;
       watch_pc = -1;
+      lw_on = false;
+      seg_instrs = 0;
+      trap_pc = 0;
       budget;
     }
   in
@@ -1010,7 +1092,11 @@ let run_internal ?events ?block_hook ?record ?exits ?mem ?resume ?orig
       raise Hang_exn
     end
   in
+  (* Once no event is pending none can fire again, as no handler runs to
+     re-arm one: last_write has no reader left. *)
+  st.lw_on <- rec_on || event_pending ev;
   let after_event () =
+    st.lw_on <- rec_on || event_pending ev;
     match xs with Some x -> after_event x | None -> ()
   in
   let cycle_entry fidx frame pc =
@@ -1024,327 +1110,402 @@ let run_internal ?events ?block_hook ?record ?exits ?mem ?resume ?orig
     let st = Sys.opaque_identity st in
     let cf = Array.unsafe_get funcs fidx in
     let uops = cf.uops and flags = cf.flags and metas = cf.metas in
+    let seg_len = cf.seg_len and rc_pre = cf.rc_pre and wc_pre = cf.wc_pre in
     let ints = frame.Exec.ints
     and flts = frame.Exec.flts
     and lw = frame.Exec.last_write in
     if has_bh && hook0 then bh ~fidx ~bidx:0;
+    (* The straight-line uops, run from [i] while the pc is below [stop]:
+       every uop but calls, jumps, returns, aborts and patched sites,
+       which the loop below runs.  Returns the pc reached: [stop], or
+       the first of those.  A uop that may trap records its pc in
+       [st.trap_pc] first. *)
+    let rec straight i stop =
+      if i >= stop then i
+      else
+        match Array.unsafe_get uops i with
+        | Uadd (dst, a, b, m) ->
+            Array.unsafe_set ints dst
+              ((Array.unsafe_get ints a + Array.unsafe_get ints b) land m);
+            straight (i + 1) stop
+        | Usub (dst, a, b, m) ->
+            Array.unsafe_set ints dst
+              ((Array.unsafe_get ints a - Array.unsafe_get ints b) land m);
+            straight (i + 1) stop
+        | Umul (dst, a, b, m) ->
+            Array.unsafe_set ints dst
+              ((Array.unsafe_get ints a * Array.unsafe_get ints b) land m);
+            straight (i + 1) stop
+        | Usdiv (dst, a, b, k, m) ->
+            let y = Array.unsafe_get ints b in
+            if y = 0 then trap_at st i Div_by_zero;
+            let x = Array.unsafe_get ints a in
+            Array.unsafe_set ints dst
+              ((((x lsl k) asr k) / ((y lsl k) asr k)) land m);
+            straight (i + 1) stop
+        | Uudiv_s (dst, a, b) ->
+            let y = Array.unsafe_get ints b in
+            if y = 0 then trap_at st i Div_by_zero;
+            Array.unsafe_set ints dst (Array.unsafe_get ints a / y);
+            straight (i + 1) stop
+        | Uudiv_l (dst, a, b, m) ->
+            let y = Array.unsafe_get ints b in
+            if y = 0 then trap_at st i Div_by_zero;
+            let x = Array.unsafe_get ints a in
+            Array.unsafe_set ints dst
+              (Int64.to_int (Int64.div (to_u64 x) (to_u64 y)) land m);
+            straight (i + 1) stop
+        | Usrem (dst, a, b, k, m) ->
+            let y = Array.unsafe_get ints b in
+            if y = 0 then trap_at st i Div_by_zero;
+            let x = Array.unsafe_get ints a in
+            Array.unsafe_set ints dst
+              (Stdlib.( mod ) ((x lsl k) asr k) ((y lsl k) asr k) land m);
+            straight (i + 1) stop
+        | Uurem_s (dst, a, b) ->
+            let y = Array.unsafe_get ints b in
+            if y = 0 then trap_at st i Div_by_zero;
+            Array.unsafe_set ints dst (Stdlib.( mod ) (Array.unsafe_get ints a) y);
+            straight (i + 1) stop
+        | Uurem_l (dst, a, b, m) ->
+            let y = Array.unsafe_get ints b in
+            if y = 0 then trap_at st i Div_by_zero;
+            let x = Array.unsafe_get ints a in
+            Array.unsafe_set ints dst
+              (Int64.to_int (Int64.rem (to_u64 x) (to_u64 y)) land m);
+            straight (i + 1) stop
+        | Uand (dst, a, b) ->
+            Array.unsafe_set ints dst
+              (Array.unsafe_get ints a land Array.unsafe_get ints b);
+            straight (i + 1) stop
+        | Uor (dst, a, b) ->
+            Array.unsafe_set ints dst
+              (Array.unsafe_get ints a lor Array.unsafe_get ints b);
+            straight (i + 1) stop
+        | Uxor (dst, a, b) ->
+            Array.unsafe_set ints dst
+              (Array.unsafe_get ints a lxor Array.unsafe_get ints b);
+            straight (i + 1) stop
+        | Ushl (dst, a, b, w, m) ->
+            let y = Array.unsafe_get ints b in
+            Array.unsafe_set ints dst
+              (if y < 0 || y >= w then 0
+               else (Array.unsafe_get ints a lsl y) land m);
+            straight (i + 1) stop
+        | Ulshr (dst, a, b, w) ->
+            let y = Array.unsafe_get ints b in
+            Array.unsafe_set ints dst
+              (if y < 0 || y >= w then 0 else Array.unsafe_get ints a lsr y);
+            straight (i + 1) stop
+        | Uashr (dst, a, b, w, k, m) ->
+            let y = Array.unsafe_get ints b in
+            let s = if y < 0 || y >= w then w - 1 else y in
+            Array.unsafe_set ints dst
+              ((((Array.unsafe_get ints a lsl k) asr k) asr s) land m);
+            straight (i + 1) stop
+        | Uicmp (op, k, dst, a, b) ->
+            let x = Array.unsafe_get ints a and y = Array.unsafe_get ints b in
+            let r =
+              match op with
+              | 0 -> x = y
+              | 1 -> x <> y
+              | 2 -> (x lsl k) asr k < (y lsl k) asr k
+              | 3 -> (x lsl k) asr k <= (y lsl k) asr k
+              | 4 -> (x lsl k) asr k > (y lsl k) asr k
+              | 5 -> (x lsl k) asr k >= (y lsl k) asr k
+              | 6 -> x lxor min_int < y lxor min_int
+              | 7 -> x lxor min_int <= y lxor min_int
+              | 8 -> x lxor min_int > y lxor min_int
+              | _ -> x lxor min_int >= y lxor min_int
+            in
+            Array.unsafe_set ints dst (if r then 1 else 0);
+            straight (i + 1) stop
+        | Ufadd (dst, a, b) ->
+            Array.unsafe_set flts dst
+              (Array.unsafe_get flts a +. Array.unsafe_get flts b);
+            straight (i + 1) stop
+        | Ufsub (dst, a, b) ->
+            Array.unsafe_set flts dst
+              (Array.unsafe_get flts a -. Array.unsafe_get flts b);
+            straight (i + 1) stop
+        | Ufmul (dst, a, b) ->
+            Array.unsafe_set flts dst
+              (Array.unsafe_get flts a *. Array.unsafe_get flts b);
+            straight (i + 1) stop
+        | Ufdiv (dst, a, b) ->
+            Array.unsafe_set flts dst
+              (Array.unsafe_get flts a /. Array.unsafe_get flts b);
+            straight (i + 1) stop
+        | Ufcmp (op, dst, a, b) ->
+            let x = Array.unsafe_get flts a and y = Array.unsafe_get flts b in
+            let ordered = (not (Float.is_nan x)) && not (Float.is_nan y) in
+            let r =
+              match op with
+              | 0 -> ordered && x = y
+              | 1 -> ordered && x <> y
+              | 2 -> x < y
+              | 3 -> x <= y
+              | 4 -> x > y
+              | _ -> x >= y
+            in
+            Array.unsafe_set ints dst (if r then 1 else 0);
+            straight (i + 1) stop
+        | Usel_i (dst, c, a, b) ->
+            Array.unsafe_set ints dst
+              (if Array.unsafe_get ints c <> 0 then Array.unsafe_get ints a
+               else Array.unsafe_get ints b);
+            straight (i + 1) stop
+        | Usel_f (dst, c, a, b) ->
+            Array.unsafe_set flts dst
+              (if Array.unsafe_get ints c <> 0 then Array.unsafe_get flts a
+               else Array.unsafe_get flts b);
+            straight (i + 1) stop
+        | Umask (dst, a, m) ->
+            Array.unsafe_set ints dst (Array.unsafe_get ints a land m);
+            straight (i + 1) stop
+        | Usext (dst, a, k, m) ->
+            Array.unsafe_set ints dst
+              (((Array.unsafe_get ints a lsl k) asr k) land m);
+            straight (i + 1) stop
+        | Ufptosi (dst, a, m) ->
+            let x = Array.unsafe_get flts a in
+            Array.unsafe_set ints dst
+              (if Float.is_nan x || Float.abs x >= 4.611686018427387904e18 then 0
+               else int_of_float x land m);
+            straight (i + 1) stop
+        | Usitofp (dst, a, k) ->
+            Array.unsafe_set flts dst
+              (float_of_int ((Array.unsafe_get ints a lsl k) asr k));
+            straight (i + 1) stop
+        | Umov_i (dst, a) ->
+            Array.unsafe_set ints dst (Array.unsafe_get ints a);
+            straight (i + 1) stop
+        | Umov_f (dst, a) ->
+            Array.unsafe_set flts dst (Array.unsafe_get flts a);
+            straight (i + 1) stop
+        | Uload_i (dst, addr, w) ->
+            st.trap_pc <- i;
+            Array.unsafe_set ints dst
+              (Memory.read_int mem ~width:w ~addr:(Array.unsafe_get ints addr));
+            straight (i + 1) stop
+        | Uload_f (dst, addr) ->
+            st.trap_pc <- i;
+            Array.unsafe_set flts dst
+              (Memory.read_f64 mem ~addr:(Array.unsafe_get ints addr));
+            straight (i + 1) stop
+        | Ustore_i (v, addr, w) ->
+            st.trap_pc <- i;
+            Memory.write_int mem ~width:w
+              ~addr:(Array.unsafe_get ints addr)
+              (Array.unsafe_get ints v);
+            straight (i + 1) stop
+        | Ustore_f (v, addr) ->
+            st.trap_pc <- i;
+            Memory.write_f64 mem
+              ~addr:(Array.unsafe_get ints addr)
+              (Array.unsafe_get flts v);
+            straight (i + 1) stop
+        | Ugep (dst, base, index, scale) ->
+            let idx =
+              ((Array.unsafe_get ints index land 0xFFFFFFFF) lsl 31) asr 31
+            in
+            Array.unsafe_set ints dst
+              ((Array.unsafe_get ints base + (idx * scale)) land 0xFFFFFFFF);
+            straight (i + 1) stop
+        | Ucall_b1 (dst, fn, a) ->
+            let r = fn (Array.unsafe_get flts a) in
+            if dst >= 0 then Array.unsafe_set flts dst r;
+            straight (i + 1) stop
+        | Ucall_b2 (dst, fn, a, b) ->
+            let r = fn (Array.unsafe_get flts a) (Array.unsafe_get flts b) in
+            if dst >= 0 then Array.unsafe_set flts dst r;
+            straight (i + 1) stop
+        | Uout_i (s, tag) ->
+            let v = Array.unsafe_get ints s in
+            (match tag with
+            | 0 -> Buffer.add_uint8 out (v land 0xFF)
+            | 1 -> Buffer.add_uint16_le out v
+            | 2 -> Buffer.add_int32_le out (Int32.of_int v)
+            | _ -> Buffer.add_int64_le out (to_u64 v));
+            straight (i + 1) stop
+        | Uout_f s ->
+            Buffer.add_int64_le out (Int64.bits_of_float (Array.unsafe_get flts s));
+            straight (i + 1) stop
+        | Uguard_i (a, b) ->
+            if Array.unsafe_get ints a <> Array.unsafe_get ints b then
+              trap_at st i Guard_violation;
+            straight (i + 1) stop
+        | Uguard_f (a, b) ->
+            if
+              not
+                (Int64.equal
+                   (Int64.bits_of_float (Array.unsafe_get flts a))
+                   (Int64.bits_of_float (Array.unsafe_get flts b)))
+            then trap_at st i Guard_violation;
+            straight (i + 1) stop
+        | Ucall _ | Ujmp _ | Ucbr _ | Uret | Uret_i _ | Uret_f _ | Uabort
+        | Uinterp _ | Uinterp_t _ ->
+            i
+    in
+    (* [pc] is -1 once the function has returned.  [wi], [wf], [wd]: the
+       pc, flags and dyn of the uop whose write post-block ends the
+       iteration. *)
     let pc = ref start in
-    let running = ref true in
-    while !running do
+    let wi = ref 0 and wf = ref 0 and wd = ref 0 in
+    while !pc >= 0 do
       let i = !pc in
       let d = st.dyn in
-      if d >= st.limit then at_limit fidx frame i d;
-      st.dyn <- d + 1;
-      if watch_dyn && d >= ev.ev_dyn then begin
-        ev.handle ~dyn:d ~cand:(-1) frame (Array.unsafe_get metas i);
-        after_event ()
-      end;
-      let fl = Array.unsafe_get flags i in
-      if fl land 1 <> 0 then begin
-        let c = st.rc in
-        st.rc <- c + 1;
-        if watch_read && (c >= ev.ev_cand || d >= ev.ev_dyn) then begin
-          ev.handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i);
-          after_event ()
+      let len = Array.unsafe_get seg_len i in
+      let fin = d + len in
+      (* [j]: the uop that is not straight-line to run next, its
+         counters advanced but for its write post-block; -1 when the
+         iteration ran a straight-line uop on its own. *)
+      let j =
+        if
+          fin <= st.limit && fin <= ev.ev_dyn
+          && ((not watch_read)
+             || st.rc + Array.unsafe_get rc_pre (i + len)
+                - Array.unsafe_get rc_pre i
+                <= ev.ev_cand)
+          && ((not watch_write)
+             || st.wc + Array.unsafe_get wc_pre (i + len)
+                - Array.unsafe_get wc_pre i
+                <= ev.ev_cand)
+        then begin
+          (* A segment: no threshold falls and no event fires inside. *)
+          let j =
+            try straight i (i + len - 1)
+            with Trap.Trap _ as e ->
+              account_segment st cf i st.trap_pc;
+              raise e
+          in
+          if st.lw_on then
+            for k = i to j - 1 do
+              let f = Array.unsafe_get flags k in
+              if f land 2 <> 0 then
+                Array.unsafe_set lw ((f lsr 2) - 1) (d + k - i)
+            done;
+          account_segment st cf i j;
+          wi := j;
+          wf := Array.unsafe_get flags j;
+          wd := st.dyn - 1;
+          j
         end
+        else begin
+          (* One instruction, accounted on its own. *)
+          if d >= st.limit then at_limit fidx frame i d;
+          st.dyn <- d + 1;
+          if watch_dyn && d >= ev.ev_dyn then begin
+            ev.handle ~dyn:d ~cand:(-1) frame (Array.unsafe_get metas i);
+            after_event ()
+          end;
+          let f = Array.unsafe_get flags i in
+          if f land 1 <> 0 then begin
+            let c = st.rc in
+            st.rc <- c + 1;
+            if watch_read && (c >= ev.ev_cand || d >= ev.ev_dyn) then begin
+              ev.handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i);
+              after_event ()
+            end
+          end;
+          wi := i;
+          wf := f;
+          wd := d;
+          let k = straight i (i + 1) in
+          if k > i then begin
+            pc := k;
+            -1
+          end
+          else i
+        end
+      in
+      if j >= 0 then begin
+        match Array.unsafe_get uops j with
+        | Ucall cr ->
+            if depth >= Exec.max_call_depth then
+              raise (Trap.Trap Stack_overflow);
+            let cf2 = Array.unsafe_get funcs cr.c_callee in
+            let cframe =
+              {
+                Exec.ints = Array.copy cf2.int_init;
+                flts = Array.copy cf2.flt_init;
+                reg_ty = cf2.reg_ty;
+                last_write = Array.copy cf2.lw_init;
+              }
+            in
+            let n = Array.length cr.c_args in
+            for k = 0 to n - 1 do
+              if cr.c_arg_f.(k) then
+                cframe.Exec.flts.(k) <- Array.unsafe_get flts cr.c_args.(k)
+              else cframe.Exec.ints.(k) <- Array.unsafe_get ints cr.c_args.(k)
+            done;
+            if shadow_on then push sh fidx frame j !wd;
+            exec_fn cr.c_callee cframe (depth + 1) ~start:0 ~hook0:true;
+            if shadow_on then pop sh;
+            if cr.c_dst >= 0 then
+              if cr.c_dst_f then Array.unsafe_set flts cr.c_dst st.ret_f
+              else Array.unsafe_set ints cr.c_dst st.ret_i;
+            pc := j + 1
+        | Ujmp (p, bidx) ->
+            pc := p;
+            if st.on_block then
+              if has_bh then bh ~fidx ~bidx
+              else if p = st.watch_pc then cycle_entry fidx frame p
+        | Ucbr (c, tpc, tb, fpc, fb) ->
+            if Array.unsafe_get ints c <> 0 then begin
+              pc := tpc;
+              if st.on_block then
+                if has_bh then bh ~fidx ~bidx:tb
+                else if tpc = st.watch_pc then cycle_entry fidx frame tpc
+            end
+            else begin
+              pc := fpc;
+              if st.on_block then
+                if has_bh then bh ~fidx ~bidx:fb
+                else if fpc = st.watch_pc then cycle_entry fidx frame fpc
+            end
+        | Uret -> pc := -1
+        | Uret_i s ->
+            st.ret_i <- Array.unsafe_get ints s;
+            pc := -1
+        | Uret_f s ->
+            st.ret_f <- Array.unsafe_get flts s;
+            pc := -1
+        | Uabort -> raise (Trap.Trap Abort_called)
+        | Uinterp ins ->
+            interp_step fidx frame depth j !wd ins;
+            pc := j + 1
+        | Uinterp_t tm -> (
+            match tm with
+            | Br l ->
+                pc := cf.block_off.(l);
+                if st.on_block then
+                  if has_bh then bh ~fidx ~bidx:l
+                  else if !pc = st.watch_pc then cycle_entry fidx frame !pc
+            | Cbr { cond; if_true; if_false } ->
+                let l = if igeti frame cond <> 0 then if_true else if_false in
+                pc := cf.block_off.(l);
+                if st.on_block then
+                  if has_bh then bh ~fidx ~bidx:l
+                  else if !pc = st.watch_pc then cycle_entry fidx frame !pc
+            | Ret None -> pc := -1
+            | Ret (Some v) ->
+                (match code.source.Program.funcs.(fidx).Program.ret with
+                | Some rt when Ir.Ty.is_float rt -> st.ret_f <- igetf frame v
+                | Some _ -> st.ret_i <- igeti frame v
+                | None -> ());
+                pc := -1
+            | Unreachable -> raise (Trap.Trap Abort_called))
+        | _ -> assert false
       end;
-      (match Array.unsafe_get uops i with
-      | Uadd (dst, a, b, m) ->
-          Array.unsafe_set ints dst
-            ((Array.unsafe_get ints a + Array.unsafe_get ints b) land m);
-          pc := i + 1
-      | Usub (dst, a, b, m) ->
-          Array.unsafe_set ints dst
-            ((Array.unsafe_get ints a - Array.unsafe_get ints b) land m);
-          pc := i + 1
-      | Umul (dst, a, b, m) ->
-          Array.unsafe_set ints dst
-            ((Array.unsafe_get ints a * Array.unsafe_get ints b) land m);
-          pc := i + 1
-      | Usdiv (dst, a, b, k, m) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then raise (Trap.Trap Div_by_zero);
-          let x = Array.unsafe_get ints a in
-          Array.unsafe_set ints dst
-            ((((x lsl k) asr k) / ((y lsl k) asr k)) land m);
-          pc := i + 1
-      | Uudiv_s (dst, a, b) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then raise (Trap.Trap Div_by_zero);
-          Array.unsafe_set ints dst (Array.unsafe_get ints a / y);
-          pc := i + 1
-      | Uudiv_l (dst, a, b, m) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then raise (Trap.Trap Div_by_zero);
-          let x = Array.unsafe_get ints a in
-          Array.unsafe_set ints dst
-            (Int64.to_int (Int64.div (to_u64 x) (to_u64 y)) land m);
-          pc := i + 1
-      | Usrem (dst, a, b, k, m) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then raise (Trap.Trap Div_by_zero);
-          let x = Array.unsafe_get ints a in
-          Array.unsafe_set ints dst
-            (Stdlib.( mod ) ((x lsl k) asr k) ((y lsl k) asr k) land m);
-          pc := i + 1
-      | Uurem_s (dst, a, b) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then raise (Trap.Trap Div_by_zero);
-          Array.unsafe_set ints dst (Stdlib.( mod ) (Array.unsafe_get ints a) y);
-          pc := i + 1
-      | Uurem_l (dst, a, b, m) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then raise (Trap.Trap Div_by_zero);
-          let x = Array.unsafe_get ints a in
-          Array.unsafe_set ints dst
-            (Int64.to_int (Int64.rem (to_u64 x) (to_u64 y)) land m);
-          pc := i + 1
-      | Uand (dst, a, b) ->
-          Array.unsafe_set ints dst
-            (Array.unsafe_get ints a land Array.unsafe_get ints b);
-          pc := i + 1
-      | Uor (dst, a, b) ->
-          Array.unsafe_set ints dst
-            (Array.unsafe_get ints a lor Array.unsafe_get ints b);
-          pc := i + 1
-      | Uxor (dst, a, b) ->
-          Array.unsafe_set ints dst
-            (Array.unsafe_get ints a lxor Array.unsafe_get ints b);
-          pc := i + 1
-      | Ushl (dst, a, b, w, m) ->
-          let y = Array.unsafe_get ints b in
-          Array.unsafe_set ints dst
-            (if y < 0 || y >= w then 0
-             else (Array.unsafe_get ints a lsl y) land m);
-          pc := i + 1
-      | Ulshr (dst, a, b, w) ->
-          let y = Array.unsafe_get ints b in
-          Array.unsafe_set ints dst
-            (if y < 0 || y >= w then 0 else Array.unsafe_get ints a lsr y);
-          pc := i + 1
-      | Uashr (dst, a, b, w, k, m) ->
-          let y = Array.unsafe_get ints b in
-          let s = if y < 0 || y >= w then w - 1 else y in
-          Array.unsafe_set ints dst
-            ((((Array.unsafe_get ints a lsl k) asr k) asr s) land m);
-          pc := i + 1
-      | Uicmp (op, k, dst, a, b) ->
-          let x = Array.unsafe_get ints a and y = Array.unsafe_get ints b in
-          let r =
-            match op with
-            | 0 -> x = y
-            | 1 -> x <> y
-            | 2 -> (x lsl k) asr k < (y lsl k) asr k
-            | 3 -> (x lsl k) asr k <= (y lsl k) asr k
-            | 4 -> (x lsl k) asr k > (y lsl k) asr k
-            | 5 -> (x lsl k) asr k >= (y lsl k) asr k
-            | 6 -> x lxor min_int < y lxor min_int
-            | 7 -> x lxor min_int <= y lxor min_int
-            | 8 -> x lxor min_int > y lxor min_int
-            | _ -> x lxor min_int >= y lxor min_int
-          in
-          Array.unsafe_set ints dst (if r then 1 else 0);
-          pc := i + 1
-      | Ufadd (dst, a, b) ->
-          Array.unsafe_set flts dst
-            (Array.unsafe_get flts a +. Array.unsafe_get flts b);
-          pc := i + 1
-      | Ufsub (dst, a, b) ->
-          Array.unsafe_set flts dst
-            (Array.unsafe_get flts a -. Array.unsafe_get flts b);
-          pc := i + 1
-      | Ufmul (dst, a, b) ->
-          Array.unsafe_set flts dst
-            (Array.unsafe_get flts a *. Array.unsafe_get flts b);
-          pc := i + 1
-      | Ufdiv (dst, a, b) ->
-          Array.unsafe_set flts dst
-            (Array.unsafe_get flts a /. Array.unsafe_get flts b);
-          pc := i + 1
-      | Ufcmp (op, dst, a, b) ->
-          let x = Array.unsafe_get flts a and y = Array.unsafe_get flts b in
-          let ordered = (not (Float.is_nan x)) && not (Float.is_nan y) in
-          let r =
-            match op with
-            | 0 -> ordered && x = y
-            | 1 -> ordered && x <> y
-            | 2 -> x < y
-            | 3 -> x <= y
-            | 4 -> x > y
-            | _ -> x >= y
-          in
-          Array.unsafe_set ints dst (if r then 1 else 0);
-          pc := i + 1
-      | Usel_i (dst, c, a, b) ->
-          Array.unsafe_set ints dst
-            (if Array.unsafe_get ints c <> 0 then Array.unsafe_get ints a
-             else Array.unsafe_get ints b);
-          pc := i + 1
-      | Usel_f (dst, c, a, b) ->
-          Array.unsafe_set flts dst
-            (if Array.unsafe_get ints c <> 0 then Array.unsafe_get flts a
-             else Array.unsafe_get flts b);
-          pc := i + 1
-      | Umask (dst, a, m) ->
-          Array.unsafe_set ints dst (Array.unsafe_get ints a land m);
-          pc := i + 1
-      | Usext (dst, a, k, m) ->
-          Array.unsafe_set ints dst
-            (((Array.unsafe_get ints a lsl k) asr k) land m);
-          pc := i + 1
-      | Ufptosi (dst, a, m) ->
-          let x = Array.unsafe_get flts a in
-          Array.unsafe_set ints dst
-            (if Float.is_nan x || Float.abs x >= 4.611686018427387904e18 then 0
-             else int_of_float x land m);
-          pc := i + 1
-      | Usitofp (dst, a, k) ->
-          Array.unsafe_set flts dst
-            (float_of_int ((Array.unsafe_get ints a lsl k) asr k));
-          pc := i + 1
-      | Umov_i (dst, a) ->
-          Array.unsafe_set ints dst (Array.unsafe_get ints a);
-          pc := i + 1
-      | Umov_f (dst, a) ->
-          Array.unsafe_set flts dst (Array.unsafe_get flts a);
-          pc := i + 1
-      | Uload_i (dst, addr, w) ->
-          Array.unsafe_set ints dst
-            (Memory.read_int mem ~width:w ~addr:(Array.unsafe_get ints addr));
-          pc := i + 1
-      | Uload_f (dst, addr) ->
-          Array.unsafe_set flts dst
-            (Memory.read_f64 mem ~addr:(Array.unsafe_get ints addr));
-          pc := i + 1
-      | Ustore_i (v, addr, w) ->
-          Memory.write_int mem ~width:w
-            ~addr:(Array.unsafe_get ints addr)
-            (Array.unsafe_get ints v);
-          pc := i + 1
-      | Ustore_f (v, addr) ->
-          Memory.write_f64 mem
-            ~addr:(Array.unsafe_get ints addr)
-            (Array.unsafe_get flts v);
-          pc := i + 1
-      | Ugep (dst, base, index, scale) ->
-          let idx =
-            ((Array.unsafe_get ints index land 0xFFFFFFFF) lsl 31) asr 31
-          in
-          Array.unsafe_set ints dst
-            ((Array.unsafe_get ints base + (idx * scale)) land 0xFFFFFFFF);
-          pc := i + 1
-      | Ucall cr ->
-          if depth >= Exec.max_call_depth then
-            raise (Trap.Trap Stack_overflow);
-          let cf2 = Array.unsafe_get funcs cr.c_callee in
-          let cframe =
-            {
-              Exec.ints = Array.copy cf2.int_init;
-              flts = Array.copy cf2.flt_init;
-              reg_ty = cf2.reg_ty;
-              last_write = Array.copy cf2.lw_init;
-            }
-          in
-          let n = Array.length cr.c_args in
-          for j = 0 to n - 1 do
-            if cr.c_arg_f.(j) then
-              cframe.Exec.flts.(j) <- Array.unsafe_get flts cr.c_args.(j)
-            else cframe.Exec.ints.(j) <- Array.unsafe_get ints cr.c_args.(j)
-          done;
-          if shadow_on then push sh fidx frame i d;
-          exec_fn cr.c_callee cframe (depth + 1) ~start:0 ~hook0:true;
-          if shadow_on then pop sh;
-          if cr.c_dst >= 0 then
-            if cr.c_dst_f then Array.unsafe_set flts cr.c_dst st.ret_f
-            else Array.unsafe_set ints cr.c_dst st.ret_i;
-          pc := i + 1
-      | Ucall_b1 (dst, fn, a) ->
-          let r = fn (Array.unsafe_get flts a) in
-          if dst >= 0 then Array.unsafe_set flts dst r;
-          pc := i + 1
-      | Ucall_b2 (dst, fn, a, b) ->
-          let r = fn (Array.unsafe_get flts a) (Array.unsafe_get flts b) in
-          if dst >= 0 then Array.unsafe_set flts dst r;
-          pc := i + 1
-      | Uout_i (s, tag) ->
-          let v = Array.unsafe_get ints s in
-          (match tag with
-          | 0 -> Buffer.add_uint8 out (v land 0xFF)
-          | 1 -> Buffer.add_uint16_le out v
-          | 2 -> Buffer.add_int32_le out (Int32.of_int v)
-          | _ -> Buffer.add_int64_le out (to_u64 v));
-          pc := i + 1
-      | Uout_f s ->
-          Buffer.add_int64_le out (Int64.bits_of_float (Array.unsafe_get flts s));
-          pc := i + 1
-      | Uguard_i (a, b) ->
-          if Array.unsafe_get ints a <> Array.unsafe_get ints b then
-            raise (Trap.Trap Guard_violation);
-          pc := i + 1
-      | Uguard_f (a, b) ->
-          if
-            not
-              (Int64.equal
-                 (Int64.bits_of_float (Array.unsafe_get flts a))
-                 (Int64.bits_of_float (Array.unsafe_get flts b)))
-          then raise (Trap.Trap Guard_violation);
-          pc := i + 1
-      | Uabort -> raise (Trap.Trap Abort_called)
-      | Ujmp (p, bidx) ->
-          pc := p;
-          if st.on_block then
-            if has_bh then bh ~fidx ~bidx
-            else if p = st.watch_pc then cycle_entry fidx frame p
-      | Ucbr (c, tpc, tb, fpc, fb) ->
-          if Array.unsafe_get ints c <> 0 then begin
-            pc := tpc;
-            if st.on_block then
-              if has_bh then bh ~fidx ~bidx:tb
-              else if tpc = st.watch_pc then cycle_entry fidx frame tpc
-          end
-          else begin
-            pc := fpc;
-            if st.on_block then
-              if has_bh then bh ~fidx ~bidx:fb
-              else if fpc = st.watch_pc then cycle_entry fidx frame fpc
-          end
-      | Uret -> running := false
-      | Uret_i s ->
-          st.ret_i <- Array.unsafe_get ints s;
-          running := false
-      | Uret_f s ->
-          st.ret_f <- Array.unsafe_get flts s;
-          running := false
-      | Uinterp ins ->
-          interp_step fidx frame depth i d ins;
-          pc := i + 1
-      | Uinterp_t tm -> (
-          match tm with
-          | Br l ->
-              pc := cf.block_off.(l);
-              if st.on_block then
-                if has_bh then bh ~fidx ~bidx:l
-                else if !pc = st.watch_pc then cycle_entry fidx frame !pc
-          | Cbr { cond; if_true; if_false } ->
-              let l = if igeti frame cond <> 0 then if_true else if_false in
-              pc := cf.block_off.(l);
-              if st.on_block then
-                if has_bh then bh ~fidx ~bidx:l
-                else if !pc = st.watch_pc then cycle_entry fidx frame !pc
-          | Ret None -> running := false
-          | Ret (Some v) ->
-              (match code.source.Program.funcs.(fidx).Program.ret with
-              | Some rt when Ir.Ty.is_float rt -> st.ret_f <- igetf frame v
-              | Some _ -> st.ret_i <- igeti frame v
-              | None -> ());
-              running := false
-          | Unreachable -> raise (Trap.Trap Abort_called)));
-      if fl land 2 <> 0 then begin
+      let f = !wf in
+      if f land 2 <> 0 then begin
         let c = st.wc in
         st.wc <- c + 1;
-        Array.unsafe_set lw ((fl lsr 2) - 1) d;
+        let d = !wd in
+        Array.unsafe_set lw ((f lsr 2) - 1) d;
         if watch_write && (c >= ev.ev_cand || d >= ev.ev_dyn) then begin
-          ev.handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i);
+          ev.handle ~dyn:d ~cand:c frame (Array.unsafe_get metas !wi);
           after_event ()
         end
       end
@@ -1541,6 +1702,7 @@ let run_internal ?events ?block_hook ?record ?exits ?mem ?resume ?orig
         raise e
   in
   if shadow_on then release_shadow sh;
+  Obs.Metrics.add m_segment_instrs st.seg_instrs;
   match xs with
   | Some x when !converged ->
       (* [st.dyn] stopped at the point: that many were executed. *)

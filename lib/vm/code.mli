@@ -10,13 +10,17 @@
     A program is decoded once — keyed by its IR digest — and the
     resulting code is immutable, shared freely across engine domains.
 
-    {!run} executes compiled code with run-until-event fault scheduling:
-    the fast path costs one packed-flags load and at most one integer
-    compare per candidate instruction; the injector's slow path runs only
-    when a scheduled event threshold is crossed.  With no [events] (or
-    thresholds of [max_int] after the final flip) the loop never leaves
-    the fast path — this is what golden runs and post-injection execution
-    pay.
+    {!run} executes compiled code with run-until-event fault scheduling,
+    a straight-line segment at a time: a segment in which no event can
+    fire and no threshold (watchdog, checkpoint capture, early-exit
+    probe) falls runs with no per-instruction accounting, and the
+    counters advance at its end by per-function prefix sums of the
+    candidate flags.  Only where an event or a threshold falls inside a
+    segment is each instruction accounted on its own, and the injector's
+    slow path runs only at a scheduled event.  Golden runs and
+    post-injection execution ([events] thresholds of [max_int] after the
+    final flip) run almost wholly in segments; the instructions run
+    inside segments are counted by [onebit_vm_segment_instructions_total].
 
     This is the VM every run executes on.  Behaviour is bit-identical to
     the reference interpreter {!Exec.run}: same outputs, statuses,
@@ -133,8 +137,8 @@ val fork : t -> t
     decode-cache invalidation analog of the code fault domain: the
     digest-keyed decode cache only ever holds pristine code, and a
     mutated experiment runs on a throwaway fork (one array copy per
-    function; flags, metas, constant pools and the source program are
-    shared). *)
+    function; flags, metas, segment tables, constant pools and the
+    source program are shared). *)
 
 val patch :
   t ->

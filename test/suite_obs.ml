@@ -337,6 +337,36 @@ let test_early_exit_counters () =
             (0, -1, 4) );
         ])
 
+(* A golden run on Vm.Code runs in segments: the segment counter moves,
+   and — counting executed instructions only — never passes the
+   instruction counter, neither for the golden run nor over a campaign
+   with checkpoint restores and early exits. *)
+let test_segment_counter () =
+  let counter name =
+    match Obs.Metrics.find name with
+    | Some (Obs.Metrics.Counter n) -> n
+    | _ -> 0
+  in
+  let segs () = counter "onebit_vm_segment_instructions_total"
+  and instrs () = counter "onebit_vm_instructions_total" in
+  with_collection ~metrics:true ~trace:false (fun () ->
+      let w = Lazy.force workload in
+      let s0 = segs () and i0 = instrs () in
+      let r = Vm.Code.run ~budget:w.budget w.code in
+      let ds = segs () - s0 and di = instrs () - i0 in
+      Alcotest.(check int) "instruction counter = golden dyn" r.dyn_count di;
+      Alcotest.(check bool) "segment instructions > 0" true (ds > 0);
+      Alcotest.(check bool) "segment <= instruction counter" true (ds <= di);
+      let s1 = segs () and i1 = instrs () in
+      ignore
+        (Core.Campaign.run w (Core.Spec.single Core.Technique.Read) ~n:40
+           ~seed:5L
+          : Core.Campaign.result);
+      let ds = segs () - s1 and di = instrs () - i1 in
+      Alcotest.(check bool) "campaign: segment instructions > 0" true (ds > 0);
+      Alcotest.(check bool)
+        "campaign: segment <= instruction counter" true (ds <= di))
+
 (* ---- unified snapshot ---- *)
 
 let test_snapshot_add_count_read () =
@@ -509,6 +539,8 @@ let suites =
           test_engine_campaign_bit_identical;
         Alcotest.test_case "vm instruction counter exact" `Quick
           test_vm_instruction_counter;
+        Alcotest.test_case "segment instruction counter" `Quick
+          test_segment_counter;
         Alcotest.test_case "early exit counters" `Quick
           test_early_exit_counters;
         Alcotest.test_case "snapshot add/count/read" `Quick
