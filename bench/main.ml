@@ -1,9 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Table II, Figures 1-5, Tables III-IV, the RQ summary boxes)
-   plus Bechamel micro-benchmarks of the interpreter and injector, and the
-   ablation studies called out in DESIGN.md.
+   plus the ablation, incremental, fleet and adaptive-sampling studies
+   called out in DESIGN.md.  Performance is measured by perfbench/.
 
-   Usage:  main.exe [t2|f1|f2|f3|f4|f5|t3|t4|rq|severity|targets|harden|prune-static|incremental|perf|ablate|all]
+   Usage:  main.exe [t2|f1|f2|f3|f4|f5|t3|t4|rq|severity|targets|harden|prune-static|incremental|fleet|adaptive|ablate|all]
 
    Every ONEBIT_* environment variable (N, SEED, PROGRAMS, CAP, PRUNE_N,
    JOBS, SHARD, STORE, PROGRESS, METRICS, TRACE) resolves through
@@ -351,111 +351,10 @@ let run_rq () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
+(* Adaptive sequential sampling: fixed-N grid vs CI-targeted rounds    *)
 (* ------------------------------------------------------------------ *)
 
-let run_perf () =
-  section "Performance micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let entry = Option.get (Bench_suite.Registry.find "crc32") in
-  let workload = Core.Workload.make ~name:"crc32" (entry.build ()) in
-  let golden_run_compiled =
-    Test.make ~name:"golden-run(crc32,compiled)"
-      (Staged.stage (fun () ->
-           ignore (Vm.Code.run ~budget:Vm.Exec.golden_budget workload.code)))
-  in
-  let one_exp tech name =
-    let counter = ref 0 in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           incr counter;
-           let rng = Prng.of_seed (Int64.of_int !counter) in
-           ignore
-             (Core.Experiment.run workload
-                (Core.Spec.multi tech ~max_mbf:3 ~win:(Fixed 10))
-                rng)))
-  in
-  (* Non-register domains time-target on the dynamic axis instead of
-     read/write candidates; benchmarking them shows what Mem's byte
-     flips and Code's image forks cost per experiment. *)
-  let one_exp_domain domain name =
-    let counter = ref 0 in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           incr counter;
-           let rng = Prng.of_seed (Int64.of_int !counter) in
-           ignore
-             (Core.Experiment.run workload
-                (Core.Spec.multi ~domain Core.Technique.Write ~max_mbf:3
-                   ~win:(Fixed 10))
-                rng)))
-  in
-  let tests =
-    [
-      golden_run_compiled;
-      one_exp Core.Technique.Read "experiment(crc32,read,m=3)";
-      one_exp Core.Technique.Write "experiment(crc32,write,m=3)";
-      one_exp_domain Core.Domain.Mem "experiment(crc32,mem,m=3)";
-      one_exp_domain Core.Domain.Code "experiment(crc32,code,m=3)";
-    ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.5) () in
-    let raw = Benchmark.all cfg instances test in
-    let results =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        Toolkit.Instance.monotonic_clock raw
-    in
-    Hashtbl.iter
-      (fun name result ->
-        match Bechamel.Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "%-40s %12.0f ns/run\n" name est
-        | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
-      results
-  in
-  List.iter
-    (fun t -> benchmark (Test.make_grouped ~name:"perf" [ t ]))
-    tests;
-  print_newline ();
-  section "Checkpointed prefix reuse: campaign wall-clock, checkpoint off vs on";
-  let pipeline_progs = [ "crc32"; "qsort"; "fft" ] in
-  let pipeline_spec = Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 10) in
-  let n_pipeline = 300 in
-  let ck_saved_on = Core.Config.checkpointing ()
-  and ck_saved_k = Core.Config.checkpoint_interval () in
-  Printf.printf "%-10s %10s %10s %9s   (%s over %d experiments)\n" "program"
-    "off" "on" "speedup"
-    (Core.Spec.label pipeline_spec)
-    n_pipeline;
-  List.iter
-    (fun name ->
-      let e = Option.get (Bench_suite.Registry.find name) in
-      let w =
-        Core.Workload.make ~name ~expected_output:(e.reference ())
-          (e.build ())
-      in
-      let campaign on =
-        Core.Config.set_checkpoint on;
-        let t0 = Unix.gettimeofday () in
-        let r = Core.Campaign.run w pipeline_spec ~n:n_pipeline ~seed:5L in
-        (Unix.gettimeofday () -. t0, r)
-      in
-      (* Warm-up also records the checkpoint set, so the timed "on" run
-         measures steady-state reuse, not the one-off recording. *)
-      ignore (campaign true);
-      let off_t, off_r = campaign false in
-      let on_t, on_r = campaign true in
-      let identical = Core.Campaign.equal_result off_r on_r in
-      Printf.printf "%-10s %9.2fs %9.2fs %8.2fx   %s\n" name off_t on_t
-        (off_t /. on_t)
-        (if identical then "bit-identical results" else "!! MISMATCH"))
-    pipeline_progs;
-  Core.Config.set_checkpoint ~interval:ck_saved_k ck_saved_on;
-  let ck_points, ck_restores = Vm.Checkpoint.stats () in
-  Printf.printf "checkpoints recorded=%d  restores=%d\n" ck_points ck_restores;
-  print_newline ();
+let run_adaptive () =
   section
     "Adaptive sequential sampling: fixed-N grid vs CI-targeted rounds";
   (* The mini-grid of the adaptive study: three programs x three fault
@@ -463,12 +362,8 @@ let run_perf () =
      every cell; the adaptive sampler stops each cell at the first shard
      boundary whose SDC Wilson half-width reaches the target, and every
      experiment it runs is the fixed-N campaign's prefix. *)
-  let adaptive_cap = 600 and adaptive_target = 0.06 in
-  let adaptive_progs = [ "crc32"; "qsort"; "nn" ] in
-  let adaptive_domains =
-    [ Core.Domain.Reg; Core.Domain.Mem; Core.Domain.Code ]
-  in
-  let adaptive_cells =
+  let cap = 600 and target = 0.06 in
+  let cells =
     List.concat_map
       (fun name ->
         let e = Option.get (Bench_suite.Registry.find name) in
@@ -481,140 +376,69 @@ let run_perf () =
             {
               Engine.Adaptive.c_workload = w;
               c_spec = Core.Spec.single ~domain Read;
-              c_cap = adaptive_cap;
+              c_cap = cap;
               c_seed = 5L;
             })
-          adaptive_domains)
-      adaptive_progs
+          [ Core.Domain.Reg; Core.Domain.Mem; Core.Domain.Code ])
+      [ "crc32"; "qsort"; "nn" ]
   in
-  let t0 = Unix.gettimeofday () in
-  let fixed_results =
-    List.map
-      (fun (c : Engine.Adaptive.cell) ->
-        Engine.run_campaign ~jobs:1 c.c_workload c.c_spec ~n:c.c_cap
-          ~seed:c.c_seed)
-      adaptive_cells
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
   in
-  let fixed_t = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let adaptive_results, adaptive_stats =
-    Engine.Adaptive.run_grid ~jobs:1 ~target:adaptive_target adaptive_cells
+  let (), fixed_t =
+    time (fun () ->
+        List.iter
+          (fun (c : Engine.Adaptive.cell) ->
+            ignore
+              (Engine.run_campaign ~jobs:1 c.c_workload c.c_spec ~n:c.c_cap
+                 ~seed:c.c_seed
+                : Core.Campaign.result))
+          cells)
   in
-  let adaptive_t = Unix.gettimeofday () -. t0 in
+  let (results, stats), adaptive_t =
+    time (fun () -> Engine.Adaptive.run_grid ~jobs:1 ~target cells)
+  in
   Printf.printf "%-10s %-6s %8s %9s %8s %6s   (target +/-%g, cap %d)\n"
-    "program" "domain" "fixed-N" "adaptive" "hw" "met" adaptive_target
-    adaptive_cap;
-  let adaptive_rows =
-    List.map2
-      (fun (cr : Engine.Adaptive.cell_result) fixed ->
-        (* The prefix assert: the adaptive cell's merged result must be
-           byte-identical to a fixed-N campaign of the stopping N. *)
-        let prefix =
-          Engine.run_campaign ~jobs:1 cr.r_cell.c_workload cr.r_cell.c_spec
-            ~n:cr.r_closed_at ~seed:cr.r_cell.c_seed
-        in
-        let identical = Core.Campaign.equal_result prefix cr.r_result in
-        let hw =
-          Stats.Proportion.(
-            half_width
-              (wilson ~successes:cr.r_result.Core.Campaign.sdc
-                 ~trials:cr.r_result.Core.Campaign.n ()))
-        in
-        ignore fixed;
-        Printf.printf "%-10s %-6s %8d %9d %8.4f %6s   %s\n"
-          cr.r_cell.c_workload.Core.Workload.name
-          (Core.Domain.to_string cr.r_cell.c_spec.Core.Spec.domain)
-          adaptive_cap cr.r_closed_at hw
-          (if cr.r_met then "yes" else "no")
-          (if identical then "bit-identical prefix" else "!! MISMATCH");
-        (cr, hw, identical))
-      adaptive_results fixed_results
-  in
-  let total_fixed = adaptive_cap * List.length adaptive_cells in
+    "program" "domain" "fixed-N" "adaptive" "hw" "met" target cap;
+  List.iter
+    (fun (cr : Engine.Adaptive.cell_result) ->
+      (* The prefix assert: the adaptive cell's merged result must be
+         byte-identical to a fixed-N campaign of the stopping N. *)
+      let prefix =
+        Engine.run_campaign ~jobs:1 cr.r_cell.c_workload cr.r_cell.c_spec
+          ~n:cr.r_closed_at ~seed:cr.r_cell.c_seed
+      in
+      let hw =
+        Stats.Proportion.(
+          half_width
+            (wilson ~successes:cr.r_result.Core.Campaign.sdc
+               ~trials:cr.r_result.Core.Campaign.n ()))
+      in
+      Printf.printf "%-10s %-6s %8d %9d %8.4f %6s   %s\n"
+        cr.r_cell.c_workload.Core.Workload.name
+        (Core.Domain.to_string cr.r_cell.c_spec.Core.Spec.domain)
+        cap cr.r_closed_at hw
+        (if cr.r_met then "yes" else "no")
+        (if Core.Campaign.equal_result prefix cr.r_result then
+           "bit-identical prefix"
+         else "!! MISMATCH"))
+    results;
+  let total_fixed = cap * List.length cells in
   let total_adaptive =
     List.fold_left
-      (fun a (cr, _, _) -> a + cr.Engine.Adaptive.r_closed_at)
-      0 adaptive_rows
+      (fun a (cr : Engine.Adaptive.cell_result) -> a + cr.r_closed_at)
+      0 results
   in
-  let exp_ratio = float_of_int total_fixed /. float_of_int total_adaptive in
   Printf.printf
-    "experiments: fixed-N %d, adaptive %d (%.2fx fewer, %d saved)\n"
-    total_fixed total_adaptive exp_ratio adaptive_stats.g_saved;
-  Printf.printf "wall-clock:  fixed-N %.2fs, adaptive %.2fs (%.2fx)\n" fixed_t
-    adaptive_t (fixed_t /. adaptive_t);
-  print_newline ();
-  section "Engine scaling: one campaign, sequential vs parallel";
-  let spec = Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 10) in
-  let n = 800 in
-  let time jobs =
-    let t0 = Unix.gettimeofday () in
-    let r = Engine.run_campaign ~jobs workload spec ~n ~seed:7L in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let cores = Domain.recommended_domain_count () in
-  let seq_t, seq_r = time 1 in
-  Printf.printf "jobs=1   %6.2fs  (sdc=%d, %d core%s available)\n" seq_t
-    seq_r.sdc cores
-    (if cores = 1 then "" else "s");
-  List.iter
-    (fun jobs ->
-      let par_t, par_r = time jobs in
-      Printf.printf "jobs=%-3d %6.2fs  speedup x%.2f  (%s)%s\n" jobs par_t
-        (seq_t /. par_t)
-        (if Core.Campaign.equal_result seq_r par_r then
-           "bit-identical to sequential"
-         else "!! MISMATCH")
-        (if jobs > cores then "  [oversubscribed]" else ""))
-    [ 2; 4; 8 ];
-  print_newline ();
-  section "Observability overhead: Table III grid with collection off vs on";
-  (* The t3 workload shape: the full 91-spec read grid on one program.
-     Results must be bit-identical with collection on or off, and the
-     overhead of the (enabled) instrumentation should stay under ~2% —
-     the disabled probes are strictly cheaper still (one atomic load and
-     a branch each). *)
-  let specs = Core.Table1.specs Core.Technique.Read in
-  let n_obs = 25 in
-  let grid () =
-    List.map (fun spec -> Core.Campaign.run workload spec ~n:n_obs ~seed:11L)
-      specs
-  in
-  let was_enabled = Obs.enabled () in
-  (* Interleave the off/on repetitions so clock drift (thermal, noisy
-     neighbours, GC state) hits both sides alike, and take the best of
-     each: the minimum is the least-disturbed run. *)
-  let timed enabled =
-    Obs.set_enabled enabled;
-    let t0 = Unix.gettimeofday () in
-    let r = grid () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  ignore (timed false) (* warm-up *);
-  let reps = 5 in
-  let off_t = ref infinity and on_t = ref infinity in
-  let off_r = ref None and on_r = ref None in
-  for _ = 1 to reps do
-    let t, r = timed false in
-    if t < !off_t then off_t := t;
-    off_r := Some r;
-    let t, r = timed true in
-    if t < !on_t then on_t := t;
-    on_r := Some r
-  done;
-  Obs.set_enabled was_enabled;
-  let off_t = !off_t and on_t = !on_t in
-  let off_r = Option.get !off_r and on_r = Option.get !on_r in
-  let identical = List.for_all2 Core.Campaign.equal_result off_r on_r in
-  let overhead = 100. *. (on_t -. off_t) /. off_t in
-  Printf.printf "off: %.3fs   on: %.3fs   (%d campaigns x %d experiments)\n"
-    off_t on_t (List.length specs) n_obs;
-  Printf.printf "results: %s\n"
-    (if identical then "bit-identical with collection on and off"
-     else "!! MISMATCH: collection influenced campaign results");
-  Printf.printf "enabled-collection overhead: %+.2f%%  %s\n" overhead
-    (if overhead < 2.0 then "(OK, target < 2%)"
-     else "(!! above the ~2% target)");
-  print_newline ()
+    "experiments: fixed-N %d, adaptive %d (%.2fx fewer, %d saved)\n\n"
+    total_fixed total_adaptive
+    (float_of_int total_fixed /. float_of_int total_adaptive)
+    stats.g_saved;
+  (* timings to stderr: stdout stays byte-identical across runs *)
+  Printf.eprintf "# adaptive: fixed-N %.2fs, adaptive %.2fs (%.2fx)\n"
+    fixed_t adaptive_t (fixed_t /. adaptive_t)
 
 (* ------------------------------------------------------------------ *)
 (* SDC severity grading                                                *)
@@ -1060,7 +884,7 @@ let () =
       (* Force the study eagerly so its banner precedes the section
          headers. *)
       (match cmd with
-      | "perf" | "incremental" | "fleet" -> ()
+      | "incremental" | "fleet" | "adaptive" -> ()
       | _ -> ignore (Lazy.force study));
       match cmd with
       | "t2" -> run_t2 ()
@@ -1078,13 +902,13 @@ let () =
       | "prune-static" -> run_prune_static ()
       | "incremental" -> run_incremental ()
       | "fleet" -> run_fleet ()
-      | "perf" -> run_perf ()
+      | "adaptive" -> run_adaptive ()
       | "ablate" -> run_ablate ()
       | "all" -> run_all ()
       | other ->
           Printf.eprintf
             "unknown command %s (expected \
-             t2|f1|f2|f3|f4|f5|t3|t4|rq|severity|targets|harden|prune-static|incremental|fleet|perf|ablate|all)\n"
+             t2|f1|f2|f3|f4|f5|t3|t4|rq|severity|targets|harden|prune-static|incremental|fleet|adaptive|ablate|all)\n"
             other;
           exit 2);
   (match store with Some st -> Store.close st | None -> ());

@@ -93,15 +93,27 @@ let win_arg =
           "Dynamic window size between injections: a number, or \
            $(b,rnd:LO-HI) for a uniform draw per injection.")
 
+(* An integer of at least [lo]: a smaller value is a usage error, not
+   an exception from deep inside a campaign. *)
+let int_at_least lo =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some v when v >= lo -> Ok v
+        | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d" lo))),
+      Format.pp_print_int )
+
 let mbf_arg =
   Arg.(
-    value & opt int 1
+    value
+    & opt (int_at_least 1) 1
     & info [ "m"; "max-mbf" ] ~docv:"N"
         ~doc:"Maximum number of bit-flips per experiment (1 = single-bit).")
 
 let n_arg =
   Arg.(
-    value & opt int 1000
+    value
+    & opt (int_at_least 1) 1000
     & info [ "n" ] ~docv:"N" ~doc:"Number of experiments in the campaign.")
 
 let seed_arg =
@@ -589,7 +601,7 @@ let run_ir_cmd =
       | Ok m -> m
       | Error msg ->
           Printf.eprintf "%s: %s\n" file msg;
-          exit 1
+          exit 2
     in
     let name = Filename.basename file in
     let w =

@@ -72,18 +72,19 @@ let candidates t (spec : Spec.t) =
   | Domain.Mem | Domain.Code -> t.golden.dyn_count
 
 (* Record golden-prefix checkpoints for this workload, once per digest
-   process-wide (engine domains share the set like they share compiled
-   code).  Lazy rather than part of [make] so the recording run — one
-   extra instrumented golden execution — is only paid when a checkpointed
-   experiment actually runs, and so flipping ONEBIT_CHECKPOINT on after
-   workload creation still works.  [None] when checkpointing is off. *)
+   and interval process-wide (engine domains share the set like they
+   share compiled code).  Lazy rather than part of [make] so the
+   recording run — one extra instrumented golden execution — is only
+   paid when a checkpointed experiment actually runs, and so changing
+   ONEBIT_CHECKPOINT after workload creation still works.  [None] when
+   checkpointing is off. *)
 let ensure_checkpoints t =
   if not (Config.checkpointing ()) then None
   else
-    Vm.Checkpoint.ensure t.digest ~record:(fun () ->
-        let r =
-          Vm.Checkpoint.recorder ~interval:(Config.checkpoint_interval ())
-        in
+    let interval = Config.checkpoint_interval () in
+    Vm.Checkpoint.ensure (t.digest ^ "/" ^ string_of_int interval)
+      ~record:(fun () ->
+        let r = Vm.Checkpoint.recorder ~interval in
         let g = Vm.Code.run ~record:r ~budget:Vm.Exec.golden_budget t.code in
         match g.Vm.Exec.status with
         | Finished -> Some (Vm.Checkpoint.finish r ~final:g)

@@ -10,8 +10,8 @@
 
     All recording is gated on a process-global enabled flag: a disabled
     probe costs one atomic load and a branch, which is what keeps
-    always-present instrumentation essentially free (measured by
-    [bench/main.exe perf]). *)
+    always-present instrumentation essentially free.  What collection
+    costs when it is on is perfbench's [trace.overhead]. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit

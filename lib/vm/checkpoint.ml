@@ -72,11 +72,6 @@ let null_recorder =
    program length while keeping the skip granularity proportional. *)
 let max_points = 1024
 
-(* Plain counters maintained unconditionally (a handful per experiment,
-   not per instruction) so tests observe checkpoint behaviour without
-   enabling metrics; the Obs probes mirror them when collection is on. *)
-let points_total = Atomic.make 0
-let restores_total = Atomic.make 0
 let m_points = Obs.Metrics.counter "onebit_vm_checkpoints_total"
 let m_hits = Obs.Metrics.counter "onebit_vm_checkpoint_hits_total"
 let m_sets = Obs.Metrics.gauge "onebit_vm_checkpoint_cached_sets"
@@ -90,8 +85,6 @@ let m_pages_restored =
 let m_distance =
   Obs.Metrics.histogram ~buckets:Obs.Metrics.count_buckets
     "onebit_vm_checkpoint_restore_distance"
-
-let stats () = (Atomic.get points_total, Atomic.get restores_total)
 
 let recorder ~interval =
   if interval <= 0 then invalid_arg "Checkpoint.recorder: interval <= 0";
@@ -116,7 +109,6 @@ let add r p =
   end;
   r.next_rc <- ((p.ck_rc / r.interval) + 1) * r.interval;
   r.next_wc <- ((p.ck_wc / r.interval) + 1) * r.interval;
-  Atomic.incr points_total;
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.incr m_points;
     Obs.Metrics.add m_pages_saved (Array.length p.ck_pages)
@@ -130,7 +122,6 @@ let finish r ~final =
   }
 
 let note_restore (p : point) =
-  Atomic.incr restores_total;
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.incr m_hits;
     Obs.Metrics.add m_pages_restored (Array.length p.ck_pages);

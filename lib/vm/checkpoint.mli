@@ -89,21 +89,18 @@ val select :
     target's top-of-loop event. *)
 
 val note_restore : point -> unit
-(** Count a restore (plain counter + Obs hit/distance/pages probes). *)
-
-val stats : unit -> int * int
-(** [(points captured, restores)] since process start; counted even when
-    metrics collection is disabled.  Obs mirrors:
-    [onebit_vm_checkpoints_total], [onebit_vm_checkpoint_hits_total],
-    the [onebit_vm_checkpoint_restore_distance] histogram and the
-    saved/restored page counters. *)
+(** Count a restore in [onebit_vm_checkpoint_hits_total], the
+    [onebit_vm_checkpoint_restore_distance] histogram and
+    [onebit_vm_checkpoint_pages_restored_total].  Captured points are
+    counted in [onebit_vm_checkpoints_total] and
+    [onebit_vm_checkpoint_pages_saved_total]. *)
 
 (** {1 Process-wide cache}
 
-    Like the decode cache, checkpoint sets are keyed by IR digest and
-    shared across engine domains.  Lookups are lock-free (an immutable
-    map behind an atomic); recording happens at most once per digest
-    under a lock. *)
+    Like the decode cache, checkpoint sets are keyed by a string and
+    shared across engine domains; [Core.Workload] keys them by IR digest
+    and interval.  Lookups are lock-free (an immutable map behind an
+    atomic); recording happens at most once per key under a lock. *)
 
 val find : string -> set option
 val store : string -> set -> unit
@@ -112,7 +109,7 @@ val ensure : string -> record:(unit -> set option) -> set option
 (** [find], or run [record] (under the recording lock, double-checked)
     and cache its result.  [record] returning [None] — e.g. a golden run
     that did not finish — caches nothing and disables checkpointing for
-    this digest. *)
+    this key. *)
 
 val working_mem : digest:string -> Memory.t -> Memory.t
 (** The calling domain's reusable undo-tracking memory for [digest],

@@ -396,12 +396,6 @@ let compile_func (p : Program.t) (f : Program.lfunc) : cfunc =
 
 (* ---- decode cache ---- *)
 
-(* Plain counters are maintained unconditionally (they are two atomics
-   per *decode*, not per instruction) so tests can observe cache
-   behaviour without enabling metrics; the Obs counters mirror them when
-   collection is on. *)
-let decode_count = Atomic.make 0
-let hit_count = Atomic.make 0
 let m_decodes = Obs.Metrics.counter "onebit_vm_decodes_total"
 let m_cache_hits = Obs.Metrics.counter "onebit_vm_decode_cache_hits_total"
 let m_cache_entries = Obs.Metrics.gauge "onebit_vm_decode_cache_entries"
@@ -409,10 +403,7 @@ let m_cache_entries = Obs.Metrics.gauge "onebit_vm_decode_cache_entries"
 let cache : (string, t) Hashtbl.t = Hashtbl.create 16
 let cache_lock = Mutex.create ()
 
-let cache_stats () = (Atomic.get decode_count, Atomic.get hit_count)
-
 let compile_uncached (p : Program.t) : t =
-  Atomic.incr decode_count;
   if Obs.Metrics.enabled () then Obs.Metrics.incr m_decodes;
   {
     funcs = Array.map (compile_func p) p.funcs;
@@ -429,7 +420,6 @@ let compile ?digest (p : Program.t) : t =
       Mutex.protect cache_lock (fun () ->
           match Hashtbl.find_opt cache dg with
           | Some c ->
-              Atomic.incr hit_count;
               if Obs.Metrics.enabled () then Obs.Metrics.incr m_cache_hits;
               c
           | None ->
@@ -627,13 +617,6 @@ type exits = {
    snapshot. *)
 let cycle_window0 = 256
 
-(* Plain counters kept unconditionally (one increment per exited run) so
-   tests see the exits fire with metrics collection off; the Obs
-   counters mirror them. *)
-let converge_total = Atomic.make 0
-let cycle_total = Atomic.make 0
-let early_exit_stats () = (Atomic.get converge_total, Atomic.get cycle_total)
-
 let m_exit_converge =
   Obs.Metrics.counter ~labels:[ ("kind", "converge") ]
     "onebit_vm_early_exits_total"
@@ -644,8 +627,7 @@ let m_exit_cycle =
 let m_exit_skipped =
   Obs.Metrics.counter "onebit_vm_early_exit_skipped_instructions_total"
 
-let note_exit counter m skipped =
-  Atomic.incr counter;
+let note_exit m skipped =
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.incr m;
     Obs.Metrics.add m_exit_skipped skipped
@@ -1708,7 +1690,7 @@ let run_internal ?events ?block_hook ?record ?exits ?mem ?resume ?orig
       (* [st.dyn] stopped at the point: that many were executed. *)
       let result = x.golden.Checkpoint.final in
       let skipped = result.Exec.dyn_count - st.dyn in
-      note_exit converge_total m_exit_converge skipped;
+      note_exit m_exit_converge skipped;
       Exec.record_run ~skipped result;
       result
   | _ ->
@@ -1722,7 +1704,7 @@ let run_internal ?events ?block_hook ?record ?exits ?mem ?resume ?orig
         }
       in
       let skipped = match xs with Some x -> x.skipped | None -> 0 in
-      if skipped > 0 then note_exit cycle_total m_exit_cycle skipped;
+      if skipped > 0 then note_exit m_exit_cycle skipped;
       Exec.record_run ~skipped result;
       result
 

@@ -54,7 +54,9 @@ type events = {
 val compile : ?digest:string -> Program.t -> t
 (** Lower a loaded program.  When [digest] (the workload's IR digest) is
     given, compiled code is cached process-wide and shared: compiling the
-    same digest again returns the existing code.  Thread-safe. *)
+    same digest again returns the existing code.  Thread-safe.  Decodes
+    count in [onebit_vm_decodes_total], cache hits in
+    [onebit_vm_decode_cache_hits_total]. *)
 
 val program : t -> Program.t
 (** The program this code was compiled from. *)
@@ -96,7 +98,9 @@ val run :
       then executed to the watchdog.
     Either way the result is field for field the one full execution
     returns.  [onebit_vm_instructions_total] counts only the
-    instructions executed; {!early_exit_stats} counts the exits. *)
+    instructions executed; [onebit_vm_early_exits_total{kind}] counts
+    the exits and [onebit_vm_early_exit_skipped_instructions_total] the
+    instructions they skipped. *)
 
 val each_candidate :
   watch:[ `Read | `Write ] ->
@@ -166,13 +170,3 @@ val site_writes : t -> int array array
 (** Static inject-on-write candidate sites per block (instructions with a
     destination register). *)
 
-val early_exit_stats : unit -> int * int
-(** [(convergence exits, cycle exits)] since process start; counted even
-    when metrics collection is disabled.  Obs mirrors:
-    [onebit_vm_early_exits_total{kind="converge"|"cycle"}] and
-    [onebit_vm_early_exit_skipped_instructions_total]. *)
-
-val cache_stats : unit -> int * int
-(** [(decodes, cache_hits)] since process start; counted even when
-    metrics collection is disabled.  The Obs mirror counters are
-    [onebit_vm_decodes_total] and [onebit_vm_decode_cache_hits_total]. *)

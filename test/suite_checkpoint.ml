@@ -66,39 +66,63 @@ let registry_workload name =
   Core.Workload.make ~name ~expected_output:(d.reference ())
     (d.build ())
 
+(* The number of points in [w]'s checkpoint set at [interval]. *)
+let points w interval =
+  with_checkpoint ~interval true (fun () ->
+      match Core.Workload.ensure_checkpoints w with
+      | Some set -> Array.length set.Vm.Checkpoint.points
+      | None -> 0)
+
+let default_interval = Core.Config.default.checkpoint_interval
+
 (* Registry programs across both techniques, win sizes {0,1,100} and
    multiplicities {1,3,4}: qsort's recursion exercises mid-call-stack
    checkpoints, fft the float register files and large dirty sets.
    Small intervals force restores near every possible stack shape. *)
 let test_registry_differential () =
-  let restores0 = snd (Vm.Checkpoint.stats ()) in
-  List.iter
-    (fun (name, interval) ->
-      let w = registry_workload name in
-      let base = Prng.of_seed 20260806L in
-      let specs =
-        [
-          Core.Spec.single Read;
-          Core.Spec.single Write;
-          Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 0);
-          Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 0);
-          Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 1);
-          Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 1);
-          Core.Spec.multi Read ~max_mbf:4 ~win:(Fixed 100);
-          Core.Spec.multi Write ~max_mbf:4 ~win:(Fixed 100);
-        ]
-      in
-      List.iter
-        (fun spec ->
-          for i = 0 to 9 do
-            check_experiment w spec ~interval ~base i
-          done)
-        specs)
-    [ ("crc32", 64); ("qsort", 128); ("fft", 512) ];
-  let restores1 = snd (Vm.Checkpoint.stats ()) in
+  let restores = ("onebit_vm_checkpoint_hits_total", []) in
+  let (), delta =
+    Thelpers.counter_deltas [ restores ] (fun () ->
+        List.iter
+          (fun (name, interval) ->
+            let w = registry_workload name in
+            let base = Prng.of_seed 20260806L in
+            let specs =
+              [
+                Core.Spec.single Read;
+                Core.Spec.single Write;
+                Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 0);
+                Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 0);
+                Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 1);
+                Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 1);
+                Core.Spec.multi Read ~max_mbf:4 ~win:(Fixed 100);
+                Core.Spec.multi Write ~max_mbf:4 ~win:(Fixed 100);
+              ]
+            in
+            List.iter
+              (fun spec ->
+                for i = 0 to 9 do
+                  check_experiment w spec ~interval ~base i
+                done)
+              specs;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: interval %d set denser than the default"
+                 name interval)
+              true
+              (points w interval > points w default_interval))
+          [ ("crc32", 64); ("qsort", 128); ("fft", 512) ])
+  in
   Alcotest.(check bool)
     "checkpoints actually restored" true
-    (restores1 > restores0)
+    (delta restores > 0)
+
+(* An interval asked for after a program's first recording gets a set of
+   its own, not the one recorded first. *)
+let test_interval_after_recording () =
+  let w = registry_workload "crc32" in
+  let default = points w default_interval in
+  Alcotest.(check bool) "interval 64 records more points" true
+    (points w 64 > default)
 
 (* Random straight-line programs x techniques x win in {0,1,100} x
    m in {1,3,4}, checkpoint on vs off.  A tiny interval makes even these
@@ -356,6 +380,8 @@ let suites =
       [
         Alcotest.test_case "registry experiment differential" `Quick
           test_registry_differential;
+        Alcotest.test_case "interval asked after the first recording" `Quick
+          test_interval_after_recording;
         QCheck_alcotest.to_alcotest prop_random_differential;
         Alcotest.test_case "campaign differential" `Quick
           test_campaign_differential;

@@ -102,36 +102,41 @@ let test_registry_matrix () =
    both exits fire (nn's register writes converge, dijkstra's code flips
    make exact cycles) — the differential above is not vacuous. *)
 let test_exits_fire () =
-  let c0, y0 = Vm.Code.early_exit_stats () in
-  List.iter
-    (fun (name, spec, n) ->
-      let w = registry_workload name in
-      let off =
-        with_checkpoint false (fun () ->
-            Core.Campaign.run ~keep_experiments:true w spec ~n ~seed:11L)
-      in
-      let on =
-        with_checkpoint true (fun () ->
-            Core.Campaign.run ~keep_experiments:true w spec ~n ~seed:11L)
-      in
-      Alcotest.(check bool)
-        (name ^ " campaign equal") true
-        (Core.Campaign.equal_result off on))
-    [
-      ("nn", Core.Spec.single Write, 40);
-      ("dijkstra", Core.Spec.single ~domain:Code Write, 200);
-    ];
-  let c1, y1 = Vm.Code.early_exit_stats () in
-  Alcotest.(check bool) "convergence exits > 0" true (c1 > c0);
-  Alcotest.(check bool) "cycle exits > 0" true (y1 > y0)
+  let (), converged, cycled =
+    Thelpers.early_exits (fun () ->
+        List.iter
+          (fun (name, spec, n) ->
+            let w = registry_workload name in
+            let off =
+              with_checkpoint false (fun () ->
+                  Core.Campaign.run ~keep_experiments:true w spec ~n ~seed:11L)
+            in
+            let on =
+              with_checkpoint true (fun () ->
+                  Core.Campaign.run ~keep_experiments:true w spec ~n ~seed:11L)
+            in
+            Alcotest.(check bool)
+              (name ^ " campaign equal") true
+              (Core.Campaign.equal_result off on))
+          [
+            ("nn", Core.Spec.single Write, 40);
+            ("dijkstra", Core.Spec.single ~domain:Code Write, 200);
+          ])
+  in
+  Alcotest.(check bool) "convergence exits > 0" true (converged > 0);
+  Alcotest.(check bool) "cycle exits > 0" true (cycled > 0)
 
 (* ---- pinned programs ---- *)
+
+(* The pinned programs are recorded, and run, with a checkpoint every
+   [pinned_interval] candidates, so golden points fall all along them. *)
+let pinned_interval = 4
 
 let workload_of name build =
   let m = B.create () in
   B.global_zeros m "cell" 4;
   B.func m "main" ~params:[] ~ret:None build;
-  with_checkpoint ~interval:4 true (fun () ->
+  with_checkpoint ~interval:pinned_interval true (fun () ->
       let w = Core.Workload.make ~name (B.finish m) in
       ignore (Core.Workload.ensure_checkpoints w : Vm.Checkpoint.set option);
       w)
@@ -153,8 +158,15 @@ let converge_program =
          B.output f I32 (B.r acc)))
 
 let forced ~checkpoint w spec first =
-  with_checkpoint checkpoint (fun () ->
+  with_checkpoint ~interval:pinned_interval checkpoint (fun () ->
       run_one ~checkpoint w spec ~first (Prng.of_seed 1L))
+
+(* The same forced flip with full execution, then with the exits on, and
+   the exits counted over both. *)
+let forced_pair w spec first =
+  Thelpers.early_exits (fun () ->
+      let off = forced ~checkpoint:false w spec first in
+      (off, forced ~checkpoint:true w spec first))
 
 let check_same label (r0, e0, l0) (r1, e1, l1) =
   Alcotest.(check bool) (label ^ ": result") true (result_equal r0 r1);
@@ -171,23 +183,19 @@ let check_same label (r0, e0, l0) (r1, e1, l1) =
 let test_output_then_converge () =
   let w = Lazy.force converge_program in
   let spec = Core.Spec.single Read in
-  let c0, _ = Vm.Code.early_exit_stats () in
-  let off = forced ~checkpoint:false w spec (0, 0, 3) in
-  let on = forced ~checkpoint:true w spec (0, 0, 3) in
+  let (off, on), converged, _ = forced_pair w spec (0, 0, 3) in
   check_same "output flip" off on;
   let _, e, log = on in
   Alcotest.(check bool) "output flip is SDC" true (e.outcome = Core.Outcome.Sdc);
   Alcotest.(check int) "flip at the output" 1 (List.hd log).inj_dyn;
-  let c1, _ = Vm.Code.early_exit_stats () in
-  Alcotest.(check int) "no convergence exit after an output diverged" c0 c1;
-  let off = forced ~checkpoint:false w spec (1, 0, 3) in
-  let on = forced ~checkpoint:true w spec (1, 0, 3) in
+  Alcotest.(check int) "no convergence exit after an output diverged" 0
+    converged;
+  let (off, on), converged, _ = forced_pair w spec (1, 0, 3) in
   check_same "dead flip" off on;
   let _, e, _ = on in
   Alcotest.(check bool) "dead flip is Benign" true
     (e.outcome = Core.Outcome.Benign);
-  let c2, _ = Vm.Code.early_exit_stats () in
-  Alcotest.(check int) "the dead flip converges" (c1 + 1) c2
+  Alcotest.(check int) "the dead flip converges" 1 converged
 
 (* [n] is write candidate 0; the loop counts i up to n, stepping with
    [step]. *)
@@ -205,15 +213,12 @@ let counting_program name step =
 let test_runaway () =
   let w = counting_program "ee-runaway" (fun f i -> B.add f I32 i (B.ci 1)) in
   let spec = Core.Spec.single Write in
-  let _, y0 = Vm.Code.early_exit_stats () in
-  let off = forced ~checkpoint:false w spec (0, -1, 20) in
-  let on = forced ~checkpoint:true w spec (0, -1, 20) in
+  let (off, on), _, cycled = forced_pair w spec (0, -1, 20) in
   check_same "runaway" off on;
   let r, _, _ = on in
   Alcotest.(check bool) "hung" true (r.status = Vm.Exec.Hung);
   Alcotest.(check int) "watchdog count" (w.budget + 1) r.dyn_count;
-  let _, y1 = Vm.Code.early_exit_stats () in
-  Alcotest.(check int) "no cycle exit" y0 y1
+  Alcotest.(check int) "no cycle exit" 0 cycled
 
 (* Bit 4 of n: i steps modulo 16 and never reaches 26 — an exact cycle.
    The exit skips whole periods, yet the run must report the watchdog's
@@ -226,17 +231,14 @@ let cycle_program =
 let test_cycle () =
   let w = Lazy.force cycle_program in
   let spec = Core.Spec.single Write in
-  let _, y0 = Vm.Code.early_exit_stats () in
-  let off = forced ~checkpoint:false w spec (0, -1, 4) in
-  let on = forced ~checkpoint:true w spec (0, -1, 4) in
+  let (off, on), _, cycled = forced_pair w spec (0, -1, 4) in
   check_same "cycle" off on;
   let r0, _, _ = off and r, _, _ = on in
   Alcotest.(check bool) "hung" true (r.status = Vm.Exec.Hung);
   Alcotest.(check int) "dyn_count = budget + 1" (w.budget + 1) r.dyn_count;
   Alcotest.(check int) "read_cands" r0.read_cands r.read_cands;
   Alcotest.(check int) "write_cands" r0.write_cands r.write_cands;
-  let _, y1 = Vm.Code.early_exit_stats () in
-  Alcotest.(check int) "one cycle exit" (y0 + 1) y1
+  Alcotest.(check int) "one cycle exit" 1 cycled
 
 (* A call to a float loop, so golden points fall inside the callee with
    the caller's frame outstanding and float registers live. *)
@@ -444,11 +446,14 @@ let prop_loops =
 (* The property, on a fixed seed, and both exits must fire on these
    programs too. *)
 let test_loops () =
-  let c0, y0 = Vm.Code.early_exit_stats () in
-  QCheck.Test.check_exn ~rand:(Random.State.make [| 20261017 |]) prop_loops;
-  let c1, y1 = Vm.Code.early_exit_stats () in
-  Alcotest.(check bool) "convergence exits > 0" true (c1 > c0);
-  Alcotest.(check bool) "cycle exits > 0" true (y1 > y0)
+  let (), converged, cycled =
+    Thelpers.early_exits (fun () ->
+        QCheck.Test.check_exn
+          ~rand:(Random.State.make [| 20261017 |])
+          prop_loops)
+  in
+  Alcotest.(check bool) "convergence exits > 0" true (converged > 0);
+  Alcotest.(check bool) "cycle exits > 0" true (cycled > 0)
 
 let suites =
   [

@@ -11,16 +11,6 @@
    Metrics/trace collection is process-global, so every test that
    enables it restores the previous state on the way out. *)
 
-let with_collection ~metrics ~trace f =
-  let m0 = Obs.Metrics.enabled () and t0 = Obs.Trace.enabled () in
-  Obs.Metrics.set_enabled metrics;
-  Obs.Trace.set_enabled trace;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Metrics.set_enabled m0;
-      Obs.Trace.set_enabled t0)
-    f
-
 let workload =
   lazy
     (let e = Option.get (Bench_suite.Registry.find "crc32") in
@@ -30,7 +20,7 @@ let workload =
 (* ---- metrics registry ---- *)
 
 let test_counter_gating () =
-  with_collection ~metrics:false ~trace:false (fun () ->
+  Thelpers.with_collection ~metrics:false ~trace:false (fun () ->
       let reg = Obs.Metrics.create () in
       let c = Obs.Metrics.counter ~registry:reg "t_gate_total" in
       Obs.Metrics.incr c;
@@ -53,7 +43,7 @@ let test_registration_idempotent () =
   let reg = Obs.Metrics.create () in
   let a = Obs.Metrics.counter ~registry:reg "t_idem_total" in
   let b = Obs.Metrics.counter ~registry:reg "t_idem_total" in
-  with_collection ~metrics:true ~trace:false (fun () ->
+  Thelpers.with_collection ~metrics:true ~trace:false (fun () ->
       Obs.Metrics.incr a;
       Obs.Metrics.incr b);
   (match Obs.Metrics.find ~registry:reg "t_idem_total" with
@@ -69,7 +59,7 @@ let test_labels_are_distinct_series () =
   let reg = Obs.Metrics.create () in
   let a = Obs.Metrics.counter ~registry:reg ~labels:[ ("k", "a") ] "t_lbl" in
   let b = Obs.Metrics.counter ~registry:reg ~labels:[ ("k", "b") ] "t_lbl" in
-  with_collection ~metrics:true ~trace:false (fun () ->
+  Thelpers.with_collection ~metrics:true ~trace:false (fun () ->
       Obs.Metrics.incr a;
       Obs.Metrics.add b 2);
   let v lbl =
@@ -151,7 +141,7 @@ let record_spread ~domains =
   Obs.Metrics.snapshot ~registry:reg ()
 
 let test_snapshot_domain_independent () =
-  with_collection ~metrics:true ~trace:false (fun () ->
+  Thelpers.with_collection ~metrics:true ~trace:false (fun () ->
       let s1 = record_spread ~domains:1 in
       let s4 = record_spread ~domains:4 in
       Alcotest.(check int) "same sample count" (List.length s1)
@@ -173,7 +163,7 @@ let test_snapshot_domain_independent () =
         (Obs.Metrics.render s1) (Obs.Metrics.render s4))
 
 let test_render_shape () =
-  with_collection ~metrics:true ~trace:false (fun () ->
+  Thelpers.with_collection ~metrics:true ~trace:false (fun () ->
       let reg = Obs.Metrics.create () in
       let c = Obs.Metrics.counter ~registry:reg ~labels:[ ("kind", "x\"y") ]
           "t_render_total"
@@ -209,7 +199,7 @@ let test_render_shape () =
 (* ---- spans ---- *)
 
 let test_span_nesting () =
-  with_collection ~metrics:false ~trace:true (fun () ->
+  Thelpers.with_collection ~metrics:false ~trace:true (fun () ->
       Obs.Trace.clear ();
       Obs.Trace.with_span "outer" (fun () ->
           Obs.Trace.with_span "inner" (fun () -> ());
@@ -245,7 +235,7 @@ let test_span_well_formed_rejects () =
        ])
 
 let test_span_disabled_is_free () =
-  with_collection ~metrics:false ~trace:false (fun () ->
+  Thelpers.with_collection ~metrics:false ~trace:false (fun () ->
       Obs.Trace.clear ();
       Obs.Trace.with_span "ghost" (fun () -> ());
       Alcotest.(check int) "no events recorded" 0
@@ -263,8 +253,8 @@ let test_campaign_bit_identical () =
   let w = Lazy.force workload in
   let spec = Core.Spec.multi Core.Technique.Read ~max_mbf:3 ~win:(Fixed 10) in
   let run () = Core.Campaign.run w spec ~n:60 ~seed:5L in
-  let r_off = with_collection ~metrics:false ~trace:false run in
-  let r_on = with_collection ~metrics:true ~trace:true run in
+  let r_off = Thelpers.with_collection ~metrics:false ~trace:false run in
+  let r_on = Thelpers.with_collection ~metrics:true ~trace:true run in
   Alcotest.(check bool) "results bit-identical" true
     (Core.Campaign.equal_result r_off r_on);
   Alcotest.(check string) "CSV rows byte-identical" (Core.Csv.row r_off)
@@ -276,96 +266,78 @@ let test_engine_campaign_bit_identical () =
   let run () =
     Engine.run_campaign ~jobs:4 ~shard_size:16 w spec ~n:96 ~seed:9L
   in
-  let r_off = with_collection ~metrics:false ~trace:false run in
-  let r_on = with_collection ~metrics:true ~trace:false run in
+  let r_off = Thelpers.with_collection ~metrics:false ~trace:false run in
+  let r_on = Thelpers.with_collection ~metrics:true ~trace:false run in
   Alcotest.(check bool) "parallel results bit-identical" true
     (Core.Campaign.equal_result r_off r_on)
 
+let instructions = ("onebit_vm_instructions_total", [])
+let segment_instructions = ("onebit_vm_segment_instructions_total", [])
+
 let test_vm_instruction_counter () =
-  with_collection ~metrics:true ~trace:false (fun () ->
-      let before =
-        match Obs.Metrics.find "onebit_vm_instructions_total" with
-        | Some (Obs.Metrics.Counter n) -> n
-        | _ -> 0
-      in
-      let w = Lazy.force workload in
-      let res = Vm.Exec.run ~budget:w.budget w.prog in
-      let after =
-        match Obs.Metrics.find "onebit_vm_instructions_total" with
-        | Some (Obs.Metrics.Counter n) -> n
-        | _ -> 0
-      in
-      Alcotest.(check int) "counter advances by dyn_count" res.dyn_count
-        (after - before))
+  let w = Lazy.force workload in
+  let res, delta =
+    Thelpers.counter_deltas [ instructions ] (fun () ->
+        Vm.Exec.run ~budget:w.budget w.prog)
+  in
+  Alcotest.(check int) "counter advances by dyn_count" res.dyn_count
+    (delta instructions)
 
 (* An early-exited run counts only the instructions it executed: the
    instruction counter plus the skipped-instruction counter is the
    run's logical dyn_count, and each exit is counted under its kind. *)
 let test_early_exit_counters () =
-  let counter ?labels name =
-    match Obs.Metrics.find ?labels name with
-    | Some (Obs.Metrics.Counter n) -> n
-    | _ -> 0
-  in
-  with_collection ~metrics:true ~trace:false (fun () ->
-      List.iter
-        (fun (kind, w, spec, first) ->
-          let exits () =
-            counter ~labels:[ ("kind", kind) ] "onebit_vm_early_exits_total"
-          in
-          let skipped () =
-            counter "onebit_vm_early_exit_skipped_instructions_total"
-          in
-          let instrs () = counter "onebit_vm_instructions_total" in
-          let w = Lazy.force w in
-          let e0 = exits () and s0 = skipped () and i0 = instrs () in
-          let r, _, _ = Suite_early_exit.forced ~checkpoint:true w spec first in
-          Alcotest.(check int) (kind ^ " exit counted") (e0 + 1) (exits ());
-          Alcotest.(check bool) (kind ^ " skipped > 0") true (skipped () > s0);
-          Alcotest.(check int)
-            (kind ^ ": executed + skipped = dyn_count")
-            r.Vm.Exec.dyn_count
-            (instrs () - i0 + (skipped () - s0)))
-        [
-          ( "converge",
-            Suite_early_exit.converge_program,
-            Core.Spec.single Read,
-            (1, 0, 3) );
-          ( "cycle",
-            Suite_early_exit.cycle_program,
-            Core.Spec.single Write,
-            (0, -1, 4) );
-        ])
+  let skipped = ("onebit_vm_early_exit_skipped_instructions_total", []) in
+  List.iter
+    (fun (kind, exits, w, spec, first) ->
+      let w = Lazy.force w in
+      let (r, _, _), delta =
+        Thelpers.counter_deltas [ exits; skipped; instructions ] (fun () ->
+            Suite_early_exit.forced ~checkpoint:true w spec first)
+      in
+      Alcotest.(check int) (kind ^ " exit counted") 1 (delta exits);
+      Alcotest.(check bool) (kind ^ " skipped > 0") true (delta skipped > 0);
+      Alcotest.(check int)
+        (kind ^ ": executed + skipped = dyn_count")
+        r.Vm.Exec.dyn_count
+        (delta instructions + delta skipped))
+    [
+      ( "converge",
+        Thelpers.converge_exits,
+        Suite_early_exit.converge_program,
+        Core.Spec.single Read,
+        (1, 0, 3) );
+      ( "cycle",
+        Thelpers.cycle_exits,
+        Suite_early_exit.cycle_program,
+        Core.Spec.single Write,
+        (0, -1, 4) );
+    ]
 
 (* A golden run on Vm.Code runs in segments: the segment counter moves,
    and — counting executed instructions only — never passes the
    instruction counter, neither for the golden run nor over a campaign
    with checkpoint restores and early exits. *)
 let test_segment_counter () =
-  let counter name =
-    match Obs.Metrics.find name with
-    | Some (Obs.Metrics.Counter n) -> n
-    | _ -> 0
+  let w = Lazy.force workload in
+  let counted f =
+    let r, delta =
+      Thelpers.counter_deltas [ segment_instructions; instructions ] f
+    in
+    (r, delta segment_instructions, delta instructions)
   in
-  let segs () = counter "onebit_vm_segment_instructions_total"
-  and instrs () = counter "onebit_vm_instructions_total" in
-  with_collection ~metrics:true ~trace:false (fun () ->
-      let w = Lazy.force workload in
-      let s0 = segs () and i0 = instrs () in
-      let r = Vm.Code.run ~budget:w.budget w.code in
-      let ds = segs () - s0 and di = instrs () - i0 in
-      Alcotest.(check int) "instruction counter = golden dyn" r.dyn_count di;
-      Alcotest.(check bool) "segment instructions > 0" true (ds > 0);
-      Alcotest.(check bool) "segment <= instruction counter" true (ds <= di);
-      let s1 = segs () and i1 = instrs () in
-      ignore
-        (Core.Campaign.run w (Core.Spec.single Core.Technique.Read) ~n:40
-           ~seed:5L
-          : Core.Campaign.result);
-      let ds = segs () - s1 and di = instrs () - i1 in
-      Alcotest.(check bool) "campaign: segment instructions > 0" true (ds > 0);
-      Alcotest.(check bool)
-        "campaign: segment <= instruction counter" true (ds <= di))
+  let r, ds, di = counted (fun () -> Vm.Code.run ~budget:w.budget w.code) in
+  Alcotest.(check int) "instruction counter = golden dyn" r.dyn_count di;
+  Alcotest.(check bool) "segment instructions > 0" true (ds > 0);
+  Alcotest.(check bool) "segment <= instruction counter" true (ds <= di);
+  let _, ds, di =
+    counted (fun () ->
+        Core.Campaign.run w (Core.Spec.single Core.Technique.Read) ~n:40
+          ~seed:5L)
+  in
+  Alcotest.(check bool) "campaign: segment instructions > 0" true (ds > 0);
+  Alcotest.(check bool)
+    "campaign: segment <= instruction counter" true (ds <= di)
 
 (* ---- unified snapshot ---- *)
 
@@ -382,7 +354,7 @@ let test_snapshot_add_count_read () =
   in
   Alcotest.(check bool) "zero is neutral" true
     (Obs.Snapshot.add Obs.Snapshot.zero d = d);
-  with_collection ~metrics:true ~trace:false (fun () ->
+  Thelpers.with_collection ~metrics:true ~trace:false (fun () ->
       let before = Obs.Snapshot.read () in
       Obs.Snapshot.count d;
       let after = Obs.Snapshot.read () in

@@ -498,19 +498,20 @@ let check_reference w spec ~seed ~n =
 
 let test_segment_exits () =
   let w = Lazy.force segment_workload in
-  let c0, y0 = Vm.Code.early_exit_stats () in
-  List.iter
-    (fun spec -> check_reference w spec ~seed:31L ~n:60)
-    [
-      Core.Spec.single Read;
-      Core.Spec.single Write;
-      Core.Spec.single ~domain:Mem Write;
-      Core.Spec.single ~domain:Code Write;
-      Core.Spec.multi ~domain:Code Read ~max_mbf:3 ~win:(Fixed 7);
-    ];
-  let c1, y1 = Vm.Code.early_exit_stats () in
-  Alcotest.(check bool) "convergence exits > 0" true (c1 > c0);
-  Alcotest.(check bool) "cycle exits > 0" true (y1 > y0)
+  let (), converged, cycled =
+    Thelpers.early_exits (fun () ->
+        List.iter
+          (fun spec -> check_reference w spec ~seed:31L ~n:60)
+          [
+            Core.Spec.single Read;
+            Core.Spec.single Write;
+            Core.Spec.single ~domain:Mem Write;
+            Core.Spec.single ~domain:Code Write;
+            Core.Spec.multi ~domain:Code Read ~max_mbf:3 ~win:(Fixed 7);
+          ])
+  in
+  Alcotest.(check bool) "convergence exits > 0" true (converged > 0);
+  Alcotest.(check bool) "cycle exits > 0" true (cycled > 0)
 
 (* m = 30: the events re-arm between flips, so runs switch between
    segments and per-instruction stretches up to 30 times. *)
@@ -575,18 +576,24 @@ let test_decode_cache () =
   let d = Option.get (Bench_suite.Registry.find "fft") in
   let m = d.build () in
   let digest = Digest.to_hex (Digest.string (Ir.Pp.modl m)) in
-  let decodes0, hits0 = Vm.Code.cache_stats () in
-  let c1 = Vm.Code.compile ~digest (Vm.Program.load m) in
-  let c2 = Vm.Code.compile ~digest (Vm.Program.load (d.build ())) in
-  let decodes1, hits1 = Vm.Code.cache_stats () in
+  let decodes = ("onebit_vm_decodes_total", [])
+  and hits = ("onebit_vm_decode_cache_hits_total", []) in
+  let (c1, c2), delta =
+    Thelpers.counter_deltas [ decodes; hits ] (fun () ->
+        let c1 = Vm.Code.compile ~digest (Vm.Program.load m) in
+        (c1, Vm.Code.compile ~digest (Vm.Program.load (d.build ()))))
+  in
   Alcotest.(check bool) "cache returns same code" true (c1 == c2);
-  Alcotest.(check bool) "at most one decode" true (decodes1 <= decodes0 + 1);
-  Alcotest.(check bool) "at least one hit" true (hits1 >= hits0 + 1);
+  Alcotest.(check bool) "at most one decode" true (delta decodes <= 1);
+  Alcotest.(check bool) "at least one hit" true (delta hits >= 1);
   (* uncached compiles always decode *)
   let p = Vm.Program.load m in
-  let _ = Vm.Code.compile p and _ = Vm.Code.compile p in
-  let decodes2, _ = Vm.Code.cache_stats () in
-  Alcotest.(check int) "uncached compiles decode" (decodes1 + 2) decodes2
+  let (), delta =
+    Thelpers.counter_deltas [ decodes ] (fun () ->
+        ignore (Vm.Code.compile p : Vm.Code.t);
+        ignore (Vm.Code.compile p : Vm.Code.t))
+  in
+  Alcotest.(check int) "uncached compiles decode" 2 (delta decodes)
 
 let suites =
   [

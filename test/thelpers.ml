@@ -31,6 +31,41 @@ let seed_run (w : Core.Workload.t) inj =
       Core.Injector.bind_code inj ~sites:w.code_sites ~image ();
       Vm.Exec.run ~hooks ~budget:w.budget image
 
+(* Run [f] with metrics collection and tracing switched as asked, and
+   restore both switches afterwards. *)
+let with_collection ~metrics ~trace f =
+  let m0 = Obs.Metrics.enabled () and t0 = Obs.Trace.enabled () in
+  Obs.Metrics.set_enabled metrics;
+  Obs.Trace.set_enabled trace;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled m0;
+      Obs.Trace.set_enabled t0)
+    f
+
+(* Run [f] with metrics collection on; return its result and a function
+   giving how far each of the named [(name, labels)] counters advanced
+   during it. *)
+let counter_deltas counters f =
+  let read (name, labels) =
+    match Obs.Metrics.find ~labels name with
+    | Some (Obs.Metrics.Counter n) -> n
+    | _ -> 0
+  in
+  with_collection ~metrics:true ~trace:false (fun () ->
+      let before = List.map (fun c -> (c, read c)) counters in
+      let r = f () in
+      let deltas = List.map (fun (c, n) -> (c, read c - n)) before in
+      (r, fun c -> List.assoc c deltas))
+
+let converge_exits = ("onebit_vm_early_exits_total", [ ("kind", "converge") ])
+let cycle_exits = ("onebit_vm_early_exits_total", [ ("kind", "cycle") ])
+
+(* Convergence and cycle exits counted over [f]. *)
+let early_exits f =
+  let r, delta = counter_deltas [ converge_exits; cycle_exits ] f in
+  (r, delta converge_exits, delta cycle_exits)
+
 (* Little-endian encoders matching the VM's output stream format. *)
 let le32 v =
   let b = Bytes.create 4 in
